@@ -10,21 +10,22 @@ type t
 
 val create : unit -> t
 
-val enqueue : t -> cookie:int -> (unit -> unit) -> unit
-(** [enqueue cbl ~cookie fn] appends a callback that becomes invocable once
-    the grace period identified by [cookie] has completed. [cookie] must be
-    >= every previously enqueued cookie (asserted). *)
+val enqueue : t -> cookie:int -> ('a -> unit) -> 'a -> unit
+(** [enqueue cbl ~cookie f x] appends the callback [f x], invocable once
+    the grace period identified by [cookie] has completed. The cell holds
+    [f] and [x], so a caller with a preallocated [f] queues no closure.
+    [cookie] must be >= every previously enqueued cookie (asserted). *)
 
 val advance : t -> completed:int -> int
 (** [advance cbl ~completed] moves every waiting callback whose cookie is
     [<= completed] to the done segment; returns how many moved. *)
 
-val drain : t -> max:int -> f:((unit -> unit) -> unit) -> int
-(** [drain cbl ~max ~f] removes up to [max] invocable callbacks, oldest
-    first, applying [f] to each; returns how many were drained (the count
-    the list already maintains — no [List.length] walk, no intermediate
-    list). The batch size is fixed before the first invocation:
-    callbacks advanced to the done segment by [f]'s side effects are not
+val drain : t -> max:int -> int
+(** [drain cbl ~max] removes and invokes up to [max] invocable callbacks,
+    oldest first; returns how many were drained (the count the list
+    already maintains — no [List.length] walk, no intermediate list). The
+    batch size is fixed before the first invocation: callbacks advanced
+    to the done segment by the invoked callbacks' side effects are not
     drained until the next pass. *)
 
 val waiting : t -> int

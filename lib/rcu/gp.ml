@@ -169,7 +169,7 @@ and softirq_pass t (pc : pcpu) =
     if Trace.enabled tr then
       Trace.emit tr ~time:(now t) ~cpu:pc.cpu.Sim.Machine.id ~arg:n
         Trace.Event.Cb_invoke;
-    let drained = Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ()) in
+    let drained = Cblist.drain pc.cbs ~max:n in
     assert (drained = n)
   end;
   if Cblist.ready pc.cbs > 0 then raise_softirq t pc;
@@ -264,7 +264,7 @@ let request_gp t =
   (match t.obs with Some o -> o.obs_request () | None -> ());
   if t.gp_active then t.gp_requested <- true else start_gp t
 
-let call_rcu t (cpu : Sim.Machine.cpu) fn =
+let call_rcu_arg t (cpu : Sim.Machine.cpu) fn arg =
   (match t.obs with Some o -> o.obs_request () | None -> ());
   let cookie = snapshot t in
   let pc = t.percpu.(cpu.id) in
@@ -280,7 +280,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
      Everything else (cost, pending, queued stats, trace) proceeds, so only
      a conservation check across the lists can tell. *)
   if lost then t.s_cbs_lost <- t.s_cbs_lost + 1
-  else Cblist.enqueue pc.cbs ~cookie fn;
+  else Cblist.enqueue pc.cbs ~cookie fn arg;
   (let tr = tracer t in
    if Trace.enabled tr then
      Trace.emit tr ~time:(now t) ~cpu:cpu.id ~arg:cookie
@@ -290,6 +290,8 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
   t.s_cbs_queued <- t.s_cbs_queued + 1;
   if t.pending > t.s_max_backlog then t.s_max_backlog <- t.pending;
   if not t.gp_active then start_gp t
+
+let call_rcu t cpu fn = call_rcu_arg t cpu fn ()
 
 let synchronize t =
   let cookie = snapshot t in
@@ -304,7 +306,7 @@ let barrier_drain t =
       let n = Cblist.ready pc.cbs in
       t.pending <- t.pending - n;
       t.s_cbs_invoked <- t.s_cbs_invoked + n;
-      ignore (Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ())))
+      ignore (Cblist.drain pc.cbs ~max:n))
     t.percpu;
   Prof.exit (prof t) Prof.Span.Rcu_cb_drain
 
@@ -329,7 +331,7 @@ let attach_pressure t pressure =
           let n = min (4 * t.cfg.expedited_blimit) (Cblist.ready pc.cbs) in
           t.pending <- t.pending - n;
           t.s_cbs_invoked <- t.s_cbs_invoked + n;
-          ignore (Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ())))
+          ignore (Cblist.drain pc.cbs ~max:n))
         t.percpu;
       t.s_cbs_invoked > invoked_before)
 

@@ -106,6 +106,10 @@ val call_rcu : t -> Sim.Machine.cpu -> (unit -> unit) -> unit
     [cpu] during a later softirq pass (batched and throttled). This is the
     baseline (SLUB) reclamation path from Listing 1 of the paper. *)
 
+val call_rcu_arg : t -> Sim.Machine.cpu -> ('a -> unit) -> 'a -> unit
+(** [call_rcu_arg t cpu f x] is [call_rcu t cpu (fun () -> f x)] without
+    allocating the closure: the callback list stores [f] and [x]. *)
+
 val synchronize : t -> unit
 (** Block the calling process until a full grace period elapses. *)
 

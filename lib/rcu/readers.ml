@@ -1,7 +1,13 @@
+(* Allocation-free reader tracking. Refcounts live in an int array
+   indexed by object id (grown on demand; object ids are dense and
+   non-negative). Each CPU's open section keeps the oids it holds in an
+   int stack, newest on top, so a section with holds allocates nothing. *)
+type held = { mutable oids : int array; mutable n : int }
+
 type t = {
   rcu : Gp.t;
-  refs : (int, int) Hashtbl.t; (* oid -> total refcount *)
-  per_cpu_held : int list array; (* oids held by the open section on a CPU *)
+  mutable refs : int array; (* oid -> total refcount *)
+  per_cpu_held : held array; (* oids held by the open section on a CPU *)
   mutable violation_log : string list; (* reversed; first K kept *)
   mutable logged : int;
   mutable dropped : int;
@@ -15,8 +21,10 @@ let max_logged_violations = 64
 let create rcu =
   {
     rcu;
-    refs = Hashtbl.create 512;
-    per_cpu_held = Array.make (Sim.Machine.nr_cpus (Gp.machine rcu)) [];
+    refs = Array.make 512 0;
+    per_cpu_held =
+      Array.init (Sim.Machine.nr_cpus (Gp.machine rcu)) (fun _ ->
+          { oids = Array.make 16 0; n = 0 });
     violation_log = [];
     logged = 0;
     dropped = 0;
@@ -38,22 +46,31 @@ let violations t = List.rev t.violation_log
 let dropped_violations t = t.dropped
 
 let refcount t ~oid =
-  match Hashtbl.find_opt t.refs oid with None -> 0 | Some n -> n
+  if oid >= 0 && oid < Array.length t.refs then Array.unsafe_get t.refs oid
+  else 0
 
 let incr_ref t oid =
-  Hashtbl.replace t.refs oid (refcount t ~oid + 1)
+  if oid < 0 then invalid_arg "Readers.hold: negative object id";
+  let n = Array.length t.refs in
+  if oid >= n then begin
+    let a = Array.make (max (oid + 1) (2 * n)) 0 in
+    Array.blit t.refs 0 a 0 n;
+    t.refs <- a
+  end;
+  t.refs.(oid) <- t.refs.(oid) + 1
 
-let decr_ref t oid =
-  let n = refcount t ~oid in
-  if n <= 1 then Hashtbl.remove t.refs oid
-  else Hashtbl.replace t.refs oid (n - 1)
+(* Only oids a section holds are released, so [oid] is in range. *)
+let decr_ref t oid = t.refs.(oid) <- t.refs.(oid) - 1
 
 let enter t cpu = Gp.read_lock t.rcu cpu
 
 let exit t (cpu : Sim.Machine.cpu) =
   (* A section cannot carry references out: drop everything it holds. *)
-  List.iter (fun oid -> decr_ref t oid) t.per_cpu_held.(cpu.id);
-  t.per_cpu_held.(cpu.id) <- [];
+  let h = t.per_cpu_held.(cpu.id) in
+  for i = h.n - 1 downto 0 do
+    decr_ref t (Array.unsafe_get h.oids i)
+  done;
+  h.n <- 0;
   Gp.read_unlock t.rcu cpu
 
 let hold t (cpu : Sim.Machine.cpu) ~oid =
@@ -66,23 +83,32 @@ let hold t (cpu : Sim.Machine.cpu) ~oid =
                        read-side critical section" cpu.id oid)
   else begin
     incr_ref t oid;
-    t.per_cpu_held.(cpu.id) <- oid :: t.per_cpu_held.(cpu.id)
+    let h = t.per_cpu_held.(cpu.id) in
+    if h.n = Array.length h.oids then begin
+      let a = Array.make (2 * h.n) 0 in
+      Array.blit h.oids 0 a 0 h.n;
+      h.oids <- a
+    end;
+    h.oids.(h.n) <- oid;
+    h.n <- h.n + 1
   end
 
+let rec newest_index (oids : int array) (oid : int) i =
+  if i < 0 || Array.unsafe_get oids i = oid then i
+  else newest_index oids oid (i - 1)
+
+(* Drops the newest hold of [oid], keeping the others in order. *)
 let release t (cpu : Sim.Machine.cpu) ~oid =
-  let rec remove = function
-    | [] -> None
-    | x :: rest when x = oid -> Some rest
-    | x :: rest -> (
-        match remove rest with None -> None | Some r -> Some (x :: r))
-  in
-  match remove t.per_cpu_held.(cpu.id) with
-  | Some rest ->
-      t.per_cpu_held.(cpu.id) <- rest;
-      decr_ref t oid
-  | None ->
-      record_violation t
-        (Printf.sprintf "cpu%d released object %d it did not hold" cpu.id oid)
+  let h = t.per_cpu_held.(cpu.id) in
+  let i = newest_index h.oids oid (h.n - 1) in
+  if i >= 0 then begin
+    Array.blit h.oids (i + 1) h.oids i (h.n - 1 - i);
+    h.n <- h.n - 1;
+    decr_ref t oid
+  end
+  else
+    record_violation t
+      (Printf.sprintf "cpu%d released object %d it did not hold" cpu.id oid)
 
 let with_section t cpu f =
   enter t cpu;

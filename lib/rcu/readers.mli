@@ -27,8 +27,9 @@ val exit : t -> Sim.Machine.cpu -> unit
     (readers cannot carry references out of a section). *)
 
 val hold : t -> Sim.Machine.cpu -> oid:int -> unit
-(** Record that the current section on [cpu] references object [oid].
-    Recording outside a section is itself a violation. *)
+(** Record that the current section on [cpu] references object [oid]
+    (a non-negative object id; refcounts are indexed by it). Recording
+    outside a section is itself a violation. *)
 
 val release : t -> Sim.Machine.cpu -> oid:int -> unit
 (** Drop one reference to [oid] from [cpu]'s current section. *)

@@ -29,19 +29,12 @@ let length t = Array.length t.entries
 
 (* -1 when absent; the same front-to-back scan order the cons-chain list
    had, so "the newest shadows" still holds for duplicate keys. *)
-let find_idx t key =
-  let keys = t.keyarr in
-  let n = Array.length keys in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get keys i = key then i
-    else go (i + 1)
-  in
-  go 0
+let rec scan (keys : int array) (key : int) i =
+  if i >= Array.length keys then -1
+  else if Array.unsafe_get keys i = key then i
+  else scan keys key (i + 1)
 
-let find t key =
-  let i = find_idx t key in
-  if i < 0 then None else Some t.entries.(i)
+let find_idx t key = scan t.keyarr key 0
 
 let insert t cpu ~key ~value =
   match t.backend.Slab.Backend.alloc t.cache cpu with
@@ -91,24 +84,45 @@ let delete t cpu ~key =
     true
   end
 
+(* Read sections open and close [Readers] directly rather than through
+   [with_section]'s closure: a lookup allocates only its [Some] result. *)
 let lookup t cpu ~key =
-  Rcu.Readers.with_section t.readers cpu (fun () ->
-      match find t key with
-      | None -> None
-      | Some e ->
-          (* The reader dereferences the object: track it so reclaiming
-             it now would be flagged. *)
-          Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
-          Some e.value)
+  let r = t.readers in
+  Rcu.Readers.enter r cpu;
+  match
+    let i = find_idx t key in
+    if i < 0 then None
+    else begin
+      let e = t.entries.(i) in
+      (* The reader dereferences the object: track it so reclaiming it
+         now would be flagged. *)
+      Rcu.Readers.hold r cpu ~oid:e.obj.Slab.Frame.oid;
+      Some e.value
+    end
+  with
+  | v ->
+      Rcu.Readers.exit r cpu;
+      v
+  | exception ex ->
+      Rcu.Readers.exit r cpu;
+      raise ex
 
 let read_iter t cpu f =
-  Rcu.Readers.with_section t.readers cpu (fun () ->
-      Array.iter
-        (fun e ->
-          Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
-          f ~key:e.key ~value:e.value;
-          Rcu.Readers.release t.readers cpu ~oid:e.obj.Slab.Frame.oid)
-        t.entries)
+  let r = t.readers in
+  Rcu.Readers.enter r cpu;
+  match
+    let entries = t.entries in
+    for i = 0 to Array.length entries - 1 do
+      let e = entries.(i) in
+      Rcu.Readers.hold r cpu ~oid:e.obj.Slab.Frame.oid;
+      f ~key:e.key ~value:e.value;
+      Rcu.Readers.release r cpu ~oid:e.obj.Slab.Frame.oid
+    done
+  with
+  | () -> Rcu.Readers.exit r cpu
+  | exception ex ->
+      Rcu.Readers.exit r cpu;
+      raise ex
 
 let keys t = Array.to_list (Array.map (fun e -> e.key) t.entries)
 

@@ -142,21 +142,30 @@ let delete t cpu ~key =
       rollback t cpu scratch;
       false
 
-let lookup t cpu ~key =
-  Rcu.Readers.with_section t.readers cpu (fun () ->
-      let rec go = function
-        | None -> None
-        | Some n ->
-            Rcu.Readers.hold t.readers cpu ~oid:n.obj.Slab.Frame.oid;
-            let r =
-              if key < n.key then go n.left
-              else if key > n.key then go n.right
-              else Some n.value
-            in
-            Rcu.Readers.release t.readers cpu ~oid:n.obj.Slab.Frame.oid;
-            r
+let rec lookup_from readers cpu key = function
+  | None -> None
+  | Some n ->
+      Rcu.Readers.hold readers cpu ~oid:n.obj.Slab.Frame.oid;
+      let r =
+        if key < n.key then lookup_from readers cpu key n.left
+        else if key > n.key then lookup_from readers cpu key n.right
+        else Some n.value
       in
-      go t.root)
+      Rcu.Readers.release readers cpu ~oid:n.obj.Slab.Frame.oid;
+      r
+
+(* Opens the read section directly rather than through [with_section]'s
+   closure: a lookup allocates only its [Some] result. *)
+let lookup t cpu ~key =
+  let r = t.readers in
+  Rcu.Readers.enter r cpu;
+  match lookup_from r cpu key t.root with
+  | v ->
+      Rcu.Readers.exit r cpu;
+      v
+  | exception ex ->
+      Rcu.Readers.exit r cpu;
+      raise ex
 
 let to_sorted_list t =
   let rec go acc = function

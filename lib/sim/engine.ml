@@ -11,6 +11,7 @@ type handle = int
 type queue = Qheap of int Heap.t | Qwheel of Wheel.t
 
 type t = {
+  id : int;
   pool : Wheel.pool;
   mutable now : int;
   mutable next_seq : int;
@@ -80,6 +81,8 @@ let tie_for policy ~time ~seq =
       in
       Int64.to_int h land max_int
 
+let next_id = Atomic.make 0
+
 let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
   let sched = match sched with Some s -> s | None -> !default_sched in
   let pool = Wheel.create_pool () in
@@ -89,6 +92,7 @@ let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
     | Wheel -> Qwheel (Wheel.create pool)
   in
   {
+    id = Atomic.fetch_and_add next_id 1;
     pool;
     now = 0;
     next_seq = 0;
@@ -112,6 +116,7 @@ let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
     batch_time = 0;
   }
 
+let id t = t.id
 let now t = t.now
 let rng t = t.rng
 let tiebreak t = t.tiebreak

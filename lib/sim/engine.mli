@@ -55,6 +55,9 @@ val create : ?seed:int -> ?tiebreak:tiebreak -> ?sched:sched -> unit -> t
     default tie-break {!Fifo} (the historical, byte-identical order),
     default scheduler [!default_sched]. *)
 
+val id : t -> int
+(** A number unique to this engine among those created by the program. *)
+
 val tiebreak : t -> tiebreak
 (** The engine's same-instant tie-break policy. *)
 

@@ -18,7 +18,11 @@ val spawn : Engine.t -> (unit -> unit) -> unit
 
 val sleep : Engine.t -> int -> unit
 (** [sleep eng ns] suspends the calling process for [ns] nanoseconds of
-    virtual time. [sleep eng 0] yields to other events at the same time. *)
+    virtual time. [sleep eng 0] yields to other events at the same time.
+    [eng] must be the engine the process was spawned on; otherwise the
+    sleep raises [Invalid_argument] in the calling process and nothing is
+    scheduled. A steady-state sleep allocates only the runtime's
+    continuation block. *)
 
 val yield : Engine.t -> unit
 (** [yield eng] is [sleep eng 0]. *)

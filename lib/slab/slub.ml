@@ -3,9 +3,10 @@ type t = {
   rcu : Rcu.t;
   by_name : (string, Frame.cache) Hashtbl.t;
   mutable caches : Frame.cache list;  (* newest first (insertion order) *)
+  release_cbs : (Frame.objekt -> unit) array;
+      (* Per-CPU RCU callback releasing a deferred object to its cache, so
+         a deferred free queues the object, not a fresh closure. *)
 }
-
-let create env rcu = { env; rcu; by_name = Hashtbl.create 8; caches = [] }
 
 let env t = t.env
 let rcu t = t.rcu
@@ -74,8 +75,8 @@ let alloc t (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   result
 
 (* The reclamation path shared by immediate frees and RCU callbacks. *)
-let release t (cache : Frame.cache) cpu obj =
-  let costs = t.env.Frame.costs in
+let release env (cache : Frame.cache) cpu obj =
+  let costs = env.Frame.costs in
   let pc = Frame.pcpu_for cache cpu in
   charge cpu costs.Costs.free_to_cache;
   Frame.push_ocache cache pc obj;
@@ -84,11 +85,24 @@ let release t (cache : Frame.cache) cpu obj =
     Frame.flush_to_node cache cpu
       ~count:(pc.Frame.ocache_n - (cache.Frame.ocache_cap / 2))
 
+let create env rcu =
+  let release_on i =
+    let cpu = Sim.Machine.cpu env.Frame.machine i in
+    fun (obj : Frame.objekt) -> release env obj.Frame.parent.Frame.cache cpu obj
+  in
+  {
+    env;
+    rcu;
+    by_name = Hashtbl.create 8;
+    caches = [];
+    release_cbs = Array.init (Sim.Machine.nr_cpus env.Frame.machine) release_on;
+  }
+
 let free t cache cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_free;
   Slab_stats.free cache.Frame.stats;
   Frame.release_from_user cache obj;
-  release t cache cpu obj;
+  release t.env cache cpu obj;
   Prof.exit (Frame.prof cache) Prof.Span.Slab_free
 
 let free_deferred t (cache : Frame.cache) cpu obj =
@@ -101,7 +115,8 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   charge cpu costs.Costs.defer_enqueue;
   (* Listing 1: the allocator never sees the object until RCU invokes the
      callback, possibly long after the grace period. *)
-  Rcu.call_rcu t.rcu cpu (fun () -> release t cache cpu obj);
+  assert (obj.Frame.parent.Frame.cache == cache);
+  Rcu.call_rcu_arg t.rcu cpu t.release_cbs.(cpu.Sim.Machine.id) obj;
   Prof.exit (Frame.prof cache) Prof.Span.Slab_defer
 
 let settle t =

@@ -101,11 +101,12 @@ let load_file path =
 
 (* ---------------- comparison ---------------- *)
 
-type status = Within | Improved | Regressed | Missing | Added
+type status = Within | Improved | Regressed | Drifted | Missing | Added
 
 let status_name = function
   | Within -> "within"
   | Improved -> "improved"
+  | Drifted -> "drifted"
   | Regressed -> "regressed"
   | Missing -> "missing"
   | Added -> "added"
@@ -126,7 +127,7 @@ let change_pct ~baseline ~current =
 
 let classify ~direction ~change ~tolerance =
   match direction with
-  | R.Info -> if Float.abs change <= tolerance then Within else Improved
+  | R.Info -> if Float.abs change <= tolerance then Within else Drifted
   | R.Exact -> if Float.abs change <= tolerance then Within else Regressed
   | R.Lower_better ->
       if change > tolerance then Regressed
@@ -237,9 +238,9 @@ let pp_drifts fmt drifts =
   let count s = List.length (List.filter (fun d -> d.status = s) drifts) in
   Format.fprintf fmt
     "%d metric(s): %d within tolerance, %d improved, %d regressed, %d \
-     missing, %d new@."
+     drifted, %d missing, %d new@."
     (List.length drifts) (count Within) (count Improved) (count Regressed)
-    (count Missing) (count Added)
+    (count Drifted) (count Missing) (count Added)
 
 (* The trailing NDJSON line of `regress --json`. Emitted on every path —
    including load/config failures, where there are no drifts to print —
@@ -253,6 +254,7 @@ let summary_to_json ?error drifts =
        ("within", J.Int (count Within));
        ("improved", J.Int (count Improved));
        ("regressed", J.Int (count Regressed));
+       ("drifted", J.Int (count Drifted));
        ("missing", J.Int (count Missing));
        ("added", J.Int (count Added));
        ("ok", J.Bool (error = None && failures drifts = []));

@@ -33,6 +33,9 @@ type status =
   | Within  (** Change within tolerance. *)
   | Improved  (** Past tolerance in the paper-expected direction. *)
   | Regressed  (** Past tolerance in the wrong direction. *)
+  | Drifted
+      (** An [Info] metric past tolerance: it has no better direction, so
+          the move is reported but neither improves nor fails. *)
   | Missing  (** In the baseline, absent from the current run. *)
   | Added  (** New metric with no baseline yet (not a failure). *)
 
@@ -47,6 +50,11 @@ type drift = {
   direction : Metrics.Report.direction;
   status : status;
 }
+
+val classify :
+  direction:Metrics.Report.direction -> change:float -> tolerance:float ->
+  status
+(** The status of a [change] (percent) against a [tolerance] (percent). *)
 
 val compare_runs :
   ?default_tolerance_pct:float -> baseline:t -> current:t -> unit -> drift list

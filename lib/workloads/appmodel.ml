@@ -49,13 +49,13 @@ type result = {
    (scratch buffers). *)
 type pool = (string, Slab.Frame.objekt Sim.Deque.t) Hashtbl.t
 
+(* The raising lookups keep the per-op path free of option boxes. *)
 let pool_for (pool : pool) name =
-  match Hashtbl.find_opt pool name with
-  | Some d -> d
-  | None ->
-      let d = Sim.Deque.create () in
-      Hashtbl.add pool name d;
-      d
+  try Hashtbl.find pool name
+  with Not_found ->
+    let d = Sim.Deque.create () in
+    Hashtbl.add pool name d;
+    d
 
 let run (env : Env.t) (cfg : config) =
   let backend = env.Env.backend in
@@ -68,9 +68,9 @@ let run (env : Env.t) (cfg : config) =
       cfg.caches
   in
   let cache_by_name name =
-    match List.assoc_opt name caches with
-    | Some c -> c
-    | None -> invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
+    try List.assoc name caches
+    with Not_found ->
+      invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
   in
   let ncpus = Sim.Machine.nr_cpus env.Env.machine in
   let txns = ref 0 in
@@ -95,6 +95,29 @@ let run (env : Env.t) (cfg : config) =
     let rng = Sim.Rng.split env.Env.rng in
     Sim.Process.spawn env.Env.eng (fun () ->
         let pool : pool = Hashtbl.create 8 in
+        let exec_op = function
+          | Acquire name -> (
+              let cache = cache_by_name name in
+              match backend.Slab.Backend.alloc cache cpu with
+              | Some obj -> Sim.Deque.push_back (pool_for pool name) obj
+              | None ->
+                  oom := true;
+                  raise Exit)
+          | Release name -> (
+              match Sim.Deque.pop_front (pool_for pool name) with
+              | Some obj -> backend.Slab.Backend.free (cache_by_name name) cpu obj
+              | None -> ())
+          | Release_newest name -> (
+              match Sim.Deque.pop_back (pool_for pool name) with
+              | Some obj -> backend.Slab.Backend.free (cache_by_name name) cpu obj
+              | None -> ())
+          | Release_deferred name -> (
+              match Sim.Deque.pop_front (pool_for pool name) with
+              | Some obj ->
+                  backend.Slab.Backend.free_deferred (cache_by_name name) cpu obj
+              | None -> ())
+          | Work ns -> Sim.Machine.consume cpu ns
+        in
         (try
            List.iter
              (fun (name, count) ->
@@ -108,35 +131,7 @@ let run (env : Env.t) (cfg : config) =
                done)
              cfg.standing;
            for _ = 1 to cfg.txns_per_cpu do
-             let ops = cfg.gen_txn rng in
-             List.iter
-               (fun op ->
-                 match op with
-                 | Acquire name -> (
-                     let cache = cache_by_name name in
-                     match backend.Slab.Backend.alloc cache cpu with
-                     | Some obj -> Sim.Deque.push_back (pool_for pool name) obj
-                     | None ->
-                         oom := true;
-                         raise Exit)
-                 | Release name -> (
-                     match Sim.Deque.pop_front (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free (cache_by_name name) cpu obj
-                     | None -> ())
-                 | Release_newest name -> (
-                     match Sim.Deque.pop_back (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free (cache_by_name name) cpu obj
-                     | None -> ())
-                 | Release_deferred name -> (
-                     match Sim.Deque.pop_front (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free_deferred (cache_by_name name)
-                           cpu obj
-                     | None -> ())
-                 | Work ns -> Sim.Machine.consume cpu ns)
-               ops;
+             List.iter exec_op (cfg.gen_txn rng);
              incr txns;
              (* Charge the transaction's accumulated cost, then think
                 (idle: pre-flush opportunity). *)

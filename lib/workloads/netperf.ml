@@ -8,7 +8,7 @@ let caches =
 (* One TCP_CRR transaction: handshake, one request/response, teardown.
    ~12 sk_buffs flow through kmalloc-256; the socket's filp and selinux
    objects are deferred at connection teardown. *)
-let gen_txn _rng =
+let txn =
   let skb_burst n =
     List.concat
       (List.init n (fun _ ->
@@ -19,6 +19,9 @@ let gen_txn _rng =
   @ Appmodel.[ Work 700 ]
   @ skb_burst 8 (* request/response + teardown *)
   @ Appmodel.[ Work 400; Release_deferred "filp"; Release_deferred "selinux" ]
+
+(* Every transaction is the same: built once, not per call. *)
+let gen_txn _rng = txn
 
 let config ?(txns_per_cpu = 3_000) () =
   {

@@ -5,7 +5,9 @@ let caches =
     { Appmodel.cache_name = "selinux"; obj_size = 64 };
   ]
 
-let gen_txn rng =
+(* The two transaction shapes, built once: with and without a client
+   session cycling. *)
+let txn ~churn =
   (* The SQL work: a memory-context arena — a burst of small palloc-style
      allocations built up while parsing/executing, then released together
      when the context is reset. This bursty, non-deferred traffic on
@@ -19,7 +21,7 @@ let gen_txn rng =
   let connection_churn =
     (* Occasionally a client session cycles: socket filp + selinux blob,
        deferred at close. *)
-    if Sim.Rng.chance rng 0.10 then
+    if churn then
       Appmodel.
         [
           Acquire "filp";
@@ -36,6 +38,10 @@ let gen_txn rng =
   @ Appmodel.[ Acquire "kmalloc-64"; Release_deferred "kmalloc-64" ]
   @ connection_churn
   @ Appmodel.[ Work 600 ]
+
+let txn_churn = txn ~churn:true
+let txn_plain = txn ~churn:false
+let gen_txn rng = if Sim.Rng.chance rng 0.10 then txn_churn else txn_plain
 
 let config ?(txns_per_cpu = 3_000) () =
   {

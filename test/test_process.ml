@@ -100,6 +100,28 @@ let test_many_processes () =
   Sim.Engine.run eng;
   Alcotest.(check int) "all processes completed" 500 !done_count
 
+let test_sleep_on_foreign_engine_fails () =
+  let home = Sim.Engine.create () and other = Sim.Engine.create () in
+  let caught = ref false and resumed_at = ref (-1) in
+  Sim.Process.spawn home (fun () ->
+      (try Sim.Process.sleep other 10
+       with Invalid_argument _ -> caught := true);
+      (* The process survives the refused sleep and can still sleep on
+         its own engine. *)
+      Sim.Process.sleep home 5;
+      resumed_at := Sim.Engine.now home);
+  Sim.Engine.run home;
+  Alcotest.(check bool) "sleep on another engine raises" true !caught;
+  Alcotest.(check int) "nothing scheduled on the other engine" 0
+    (Sim.Engine.pending other);
+  Alcotest.(check int) "home sleep still works" 5 !resumed_at;
+  (* Uncaught, the refusal escapes the run loop. *)
+  Sim.Process.spawn home (fun () -> Sim.Process.yield other);
+  Alcotest.check_raises "uncaught refusal propagates"
+    (Invalid_argument
+       "Process.sleep: not the engine this process was spawned on")
+    (fun () -> Sim.Engine.run home)
+
 let suite =
   [
     Alcotest.test_case "sleep advances virtual time" `Quick
@@ -110,4 +132,6 @@ let suite =
     Alcotest.test_case "wait_until re-checks predicate" `Quick test_wait_until;
     Alcotest.test_case "wait_until immediate" `Quick test_wait_until_immediate;
     Alcotest.test_case "500 processes" `Quick test_many_processes;
+    Alcotest.test_case "sleep on a foreign engine fails" `Quick
+      test_sleep_on_foreign_engine_fails;
   ]

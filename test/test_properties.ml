@@ -235,12 +235,12 @@ let prop_cblist_conserves_callbacks =
             (* Enqueue with a non-decreasing cookie. *)
             cookie := !cookie + arg;
             incr enqueued;
-            Rcu.Cblist.enqueue cbl ~cookie:!cookie (fun () -> incr invoked)
+            Rcu.Cblist.enqueue cbl ~cookie:!cookie (fun () -> incr invoked) ()
         | 1 ->
             completed := !completed + arg;
             ignore (Rcu.Cblist.advance cbl ~completed:!completed)
         | _ ->
-            let n = Rcu.Cblist.drain cbl ~max:(1 + arg) ~f:(fun f -> f ()) in
+            let n = Rcu.Cblist.drain cbl ~max:(1 + arg) in
             taken := !taken + n);
         Rcu.Cblist.waiting cbl + Rcu.Cblist.ready cbl = Rcu.Cblist.total cbl
         && Rcu.Cblist.total cbl + !taken = !enqueued
@@ -251,7 +251,7 @@ let prop_cblist_conserves_callbacks =
       begin
         (* Drain completely: everything enqueued must run exactly once. *)
         ignore (Rcu.Cblist.advance cbl ~completed:max_int);
-        ignore (Rcu.Cblist.drain cbl ~max:max_int ~f:(fun f -> f ()));
+        ignore (Rcu.Cblist.drain cbl ~max:max_int);
         !invoked = !enqueued && Rcu.Cblist.total cbl = 0
       end)
 

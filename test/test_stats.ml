@@ -426,6 +426,39 @@ let test_compare_statuses () =
   Alcotest.(check string) "lower_better improved" "improved"
     (B.status_name (drift_status drifts "m.low"))
 
+let test_classify_info_drifts () =
+  (* Info metrics have no better direction: moving past tolerance either
+     way is "drifted", never "improved", and never fails the gate. *)
+  let status direction change =
+    B.status_name (B.classify ~direction ~change ~tolerance:5.)
+  in
+  Alcotest.(check string) "info +43%" "drifted" (status R.Info 43.);
+  Alcotest.(check string) "info -30%" "drifted" (status R.Info (-30.));
+  Alcotest.(check string) "info +4%" "within" (status R.Info 4.);
+  Alcotest.(check string) "exact +43%" "regressed" (status R.Exact 43.);
+  Alcotest.(check string) "exact -30%" "regressed" (status R.Exact (-30.));
+  Alcotest.(check string) "lower_better +43%" "regressed"
+    (status R.Lower_better 43.);
+  Alcotest.(check string) "lower_better -30%" "improved"
+    (status R.Lower_better (-30.));
+  Alcotest.(check string) "higher_better +43%" "improved"
+    (status R.Higher_better 43.);
+  Alcotest.(check string) "higher_better -30%" "regressed"
+    (status R.Higher_better (-30.));
+  let drifted =
+    with_metrics
+      [
+        R.metric "m.info" 14.3;
+        R.metric ~direction:R.Lower_better "m.low" 100.;
+        R.metric ~direction:R.Higher_better ~tolerance_pct:10. "m.high" 100.;
+      ]
+  in
+  let drifts = B.compare_runs ~baseline:sample_doc ~current:drifted () in
+  Alcotest.(check string) "compare_runs drifted" "drifted"
+    (B.status_name (drift_status drifts "m.info"));
+  Alcotest.(check int) "drift is not a failure" 0
+    (List.length (B.failures drifts))
+
 let test_compare_config_mismatch () =
   Alcotest.(check bool) "same config ok" true
     (B.config_mismatch ~baseline:sample_doc ~current:sample_doc = None);
@@ -470,6 +503,8 @@ let suite =
     Alcotest.test_case "bench json: rejects bad input" `Quick
       test_bench_json_rejects;
     Alcotest.test_case "gate: drift statuses" `Quick test_compare_statuses;
+    Alcotest.test_case "gate: info drift is neutral" `Quick
+      test_classify_info_drifts;
     Alcotest.test_case "gate: config mismatch" `Quick
       test_compare_config_mismatch;
     Alcotest.test_case "report: duplicate metric names" `Quick

@@ -12,26 +12,16 @@ let list_experiments () =
     "Figs. 7-13";
   0
 
-(* --sched is process-global: every engine the command builds (including
-   the ones buried inside experiments and sweeps) picks it up via
-   [Engine.default_sched]. *)
-let set_sched s =
-  match Core.Sim.Engine.sched_of_string s with
-  | Some sched -> Core.Sim.Engine.default_sched := sched
-  | None ->
-      Format.eprintf "unknown scheduler %S (wheel or heap)@." s;
-      exit 2
+(* Exit 2 with "<flag> must be positive" unless [v > 0]. *)
+let require_positive ?(unit = "") flag v =
+  if v <= 0 then begin
+    Format.eprintf "%s must be positive (got %d%s)@." flag v unit;
+    exit 2
+  end
 
-let params sched scale seed cpus runs =
-  if cpus <= 0 then begin
-    Format.eprintf "--cpus must be positive (got %d)@." cpus;
-    exit 2
-  end;
-  if runs <= 0 then begin
-    Format.eprintf "--runs must be positive (got %d)@." runs;
-    exit 2
-  end;
-  set_sched sched;
+let params scale seed cpus runs =
+  require_positive "--cpus" cpus;
+  require_positive "--runs" runs;
   { Core.Experiments.scale; seed; cpus; runs; trace = None }
 
 let run_experiment ids p =
@@ -63,10 +53,7 @@ let run_experiment ids p =
   0
 
 let trace_experiment id out want_hists ring p =
-  if ring <= 0 then begin
-    Format.eprintf "--ring must be positive (got %d)@." ring;
-    exit 2
-  end;
+  require_positive "--ring" ring;
   let p = { p with Core.Experiments.trace = Some ring } in
   match Core.Experiments.run_traced p id with
   | None ->
@@ -138,10 +125,7 @@ let parse_kinds alloc =
           exit 2)
 
 let chaos_params ring p =
-  if ring <= 0 then begin
-    Format.eprintf "--ring must be positive (got %d)@." ring;
-    exit 2
-  end;
+  require_positive "--ring" ring;
   {
     Core.Chaos.seed = p.Core.Experiments.seed;
     cpus = p.Core.Experiments.cpus;
@@ -231,30 +215,14 @@ let run_tournament names alloc ring out p =
   if violations = 0 then 0 else 1
 
 let run_stat alloc duration_ms sample_every capacity watch series format
-    registry_table pages scale seed cpus sched =
+    registry_table pages scale seed cpus =
   let module Live = Core.Stats.Live in
   let module Providers = Core.Stats.Providers in
-  set_sched sched;
-  if cpus <= 0 then begin
-    Format.eprintf "--cpus must be positive (got %d)@." cpus;
-    exit 2
-  end;
-  if duration_ms <= 0 then begin
-    Format.eprintf "--duration-ms must be positive (got %d)@." duration_ms;
-    exit 2
-  end;
-  if sample_every <= 0 then begin
-    Format.eprintf "--sample-every must be positive (got %d ns)@." sample_every;
-    exit 2
-  end;
-  if capacity <= 0 then begin
-    Format.eprintf "--capacity must be positive (got %d)@." capacity;
-    exit 2
-  end;
-  if pages <= 0 then begin
-    Format.eprintf "--pages must be positive (got %d)@." pages;
-    exit 2
-  end;
+  require_positive "--cpus" cpus;
+  require_positive "--duration-ms" duration_ms;
+  require_positive ~unit:" ns" "--sample-every" sample_every;
+  require_positive "--capacity" capacity;
+  require_positive "--pages" pages;
   let ext =
     match format with
     | "csv" | "ndjson" -> format
@@ -392,17 +360,18 @@ let run_regress baseline_file current_file tolerance json =
         1
       end
 
+let wallclock_params p =
+  {
+    Wallclock.scale = p.Core.Experiments.scale;
+    seed = p.Core.Experiments.seed;
+    cpus = p.Core.Experiments.cpus;
+    runs = p.Core.Experiments.runs;
+  }
+
 let run_perf names out p =
   let module Wc = Wallclock in
   let scenarios = parse_perf_scenarios names in
-  let wp =
-    {
-      Wc.scale = p.Core.Experiments.scale;
-      seed = p.Core.Experiments.seed;
-      cpus = p.Core.Experiments.cpus;
-      runs = p.Core.Experiments.runs;
-    }
-  in
+  let wp = wallclock_params p in
   let ms = Wc.run_all ~scenarios wp in
   Format.printf "%s@." (Wc.table ms);
   Core.Stats.Bench_json.write_file out (Wc.to_bench wp ms);
@@ -426,15 +395,7 @@ let run_prof names top by folded json p =
         exit 2
   in
   let scenarios = parse_perf_scenarios names in
-  let wp =
-    {
-      Wallclock.scale = p.Core.Experiments.scale;
-      seed = p.Core.Experiments.seed;
-      cpus = p.Core.Experiments.cpus;
-      runs = p.Core.Experiments.runs;
-    }
-  in
-  let rs = Pr.run_all ~scenarios wp in
+  let rs = Pr.run_all ~scenarios (wallclock_params p) in
   if json then print_string (Pr.to_ndjson rs)
   else
     List.iter
@@ -468,17 +429,12 @@ let parse_mutation mutate =
 let parse_oracles disabled =
   let module Sweep = Core.Check.Sweep in
   List.fold_left
-    (fun (o : Sweep.oracles) name ->
-      match name with
-      | "page-reuse" -> { o with Sweep.page_reuse = false }
-      | "early-reuse" -> { o with Sweep.early_reuse = false }
-      | "missed-qs" -> { o with Sweep.missed_qs = false }
-      | "cb-conservation" -> { o with Sweep.cb_conservation = false }
-      | _ ->
-          Format.eprintf
-            "unknown oracle %S (page-reuse, early-reuse, missed-qs, \
-             cb-conservation)@."
-            name;
+    (fun o name ->
+      match Sweep.disable_oracle o name with
+      | Some o -> o
+      | None ->
+          Format.eprintf "unknown oracle %S (%s)@." name
+            (String.concat ", " Sweep.oracle_names);
           exit 2)
     Sweep.all_oracles disabled
 
@@ -491,40 +447,40 @@ let parse_plan = function
           Format.eprintf "bad --plan: %s@." e;
           exit 2)
 
-let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
-    disabled plan skip_diff bundle_dir json seed cpus sched =
+(* The options check and fuzz share, parsed and validated into a sweep
+   config; each command then sets [sweeps] and [bundle_dir]. *)
+let sweep_base names alloc shuffle_seed mutate duration_ms pages disabled plan
+    seed cpus =
+  require_positive "--duration-ms" duration_ms;
+  require_positive "--pages" pages;
+  require_positive "--cpus" cpus;
+  {
+    Core.Check.Sweep.scenarios = parse_scenarios names;
+    kinds = parse_kinds alloc;
+    sweeps = 1;
+    base_shuffle_seed = shuffle_seed;
+    seed;
+    cpus;
+    duration_ns = duration_ms * 1_000_000;
+    total_pages = pages;
+    mutation = parse_mutation mutate;
+    oracles = parse_oracles disabled;
+    plan = parse_plan plan;
+    bundle_dir = None;
+  }
+
+let run_check base sweeps skip_diff bundle_dir json =
   let module Sweep = Core.Check.Sweep in
   let module J = Core.Metrics.Json in
-  set_sched sched;
-  if sweeps <= 0 || duration_ms <= 0 || pages <= 0 || cpus <= 0 then begin
-    Format.eprintf
-      "--sweeps, --duration-ms, --pages and --cpus must be positive@.";
-    exit 2
-  end;
-  let scenarios = parse_scenarios names in
-  let kinds = parse_kinds alloc in
-  let mutation = parse_mutation mutate in
-  let cfg =
-    {
-      Sweep.scenarios;
-      kinds;
-      sweeps;
-      base_shuffle_seed = shuffle_seed;
-      seed;
-      cpus;
-      duration_ns = duration_ms * 1_000_000;
-      total_pages = pages;
-      mutation;
-      oracles = parse_oracles disabled;
-      plan = parse_plan plan;
-      bundle_dir;
-    }
-  in
+  require_positive "--sweeps" sweeps;
+  let cfg = { base with Sweep.sweeps; bundle_dir } in
+  let shuffle_seed = cfg.Sweep.base_shuffle_seed and seed = cfg.Sweep.seed in
   if not json then
     Format.printf
       "sweeping %d scenario(s) x %d allocator(s) x %d shuffled schedule(s) \
        (shuffle seeds %d..%d, workload seed %d)...@."
-      (List.length scenarios) (List.length kinds) sweeps shuffle_seed
+      (List.length cfg.Sweep.scenarios) (List.length cfg.Sweep.kinds) sweeps
+      shuffle_seed
       (shuffle_seed + sweeps - 1)
       seed;
   let last = ref None in
@@ -612,14 +568,15 @@ let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
             ]));
   if failed then 1 else 0
 
-let run_fuzz_differential base fcfg alloc json =
+let run_fuzz_differential fcfg json =
   let module Fuzz = Core.Check.Fuzz in
   let module Diff = Core.Check.Differential in
   let module J = Core.Metrics.Json in
+  (* A multi-kind --alloc (both or all) replays on every backend. *)
   let kinds =
-    match alloc with
-    | "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> base.Core.Check.Sweep.kinds
+    match fcfg.Fuzz.base.Core.Check.Sweep.kinds with
+    | [ _ ] as kinds -> kinds
+    | _ -> Core.Workloads.Env.all_kinds
   in
   if not json then
     Format.printf
@@ -676,123 +633,22 @@ let run_fuzz_differential base fcfg alloc json =
   end;
   if failed then 1 else 0
 
-let run_fuzz_cross_sched fcfg json =
-  let module Fuzz = Core.Check.Fuzz in
-  let module Sweep = Core.Check.Sweep in
-  let module J = Core.Metrics.Json in
-  if not json then
-    Format.printf
-      "cross-scheduler fuzzing: budget %d input(s) x {heap, wheel}, fuzz \
-       seed %d...@."
-      fcfg.Fuzz.budget fcfg.Fuzz.seed;
-  let progress (r : Fuzz.xsched_record) =
-    if json then
-      print_endline
-        (J.to_string
-           (J.Obj
-              [
-                ("type", J.Str "xsched_case");
-                ("exec", J.Int r.Fuzz.x_exec);
-                ("origin", J.Str (Fuzz.origin_name r.Fuzz.x_origin));
-                ( "scenario",
-                  J.Str
-                    (Core.Workloads.Chaos.scenario_name
-                       r.Fuzz.x_input.Fuzz.scenario) );
-                ( "alloc",
-                  J.Str (Core.Workloads.Env.kind_label r.Fuzz.x_input.Fuzz.kind)
-                );
-                ("shuffle_seed", J.Int r.Fuzz.x_input.Fuzz.shuffle_seed);
-                ("events_heap", J.Int r.Fuzz.x_heap.Sweep.events);
-                ("events_wheel", J.Int r.Fuzz.x_wheel.Sweep.events);
-                ("agree", J.Bool r.Fuzz.x_agree);
-              ]))
-    else if not r.Fuzz.x_agree then
-      Format.printf
-        "  #%-4d %-8s %-16s/%-9s s%d DIVERGED (heap %d vs wheel %d events)@."
-        r.Fuzz.x_exec
-        (Fuzz.origin_name r.Fuzz.x_origin)
-        (Core.Workloads.Chaos.scenario_name r.Fuzz.x_input.Fuzz.scenario)
-        (Core.Workloads.Env.kind_label r.Fuzz.x_input.Fuzz.kind)
-        r.Fuzz.x_input.Fuzz.shuffle_seed r.Fuzz.x_heap.Sweep.events
-        r.Fuzz.x_wheel.Sweep.events
-  in
-  let xr = Fuzz.run_cross_sched ~progress fcfg in
-  let failed = xr.Fuzz.xsched_failure <> None in
-  if json then
-    print_endline
-      (J.to_string
-         (J.Obj
-            [
-              ("type", J.Str "summary");
-              ("mode", J.Str "cross-sched");
-              ("executed", J.Int xr.Fuzz.xsched_executed);
-              ("budget", J.Int fcfg.Fuzz.budget);
-              ("failure", J.Bool failed);
-              ("ok", J.Bool (not failed));
-            ]))
-  else begin
-    Format.printf
-      "@.%d input(s) replayed under both schedulers (%d engine runs)@."
-      xr.Fuzz.xsched_executed
-      (2 * xr.Fuzz.xsched_executed);
-    match xr.Fuzz.xsched_failure with
-    | None ->
-        Format.printf
-          "no divergence: deterministic counters and oracle verdicts \
-           identical under heap and wheel.@."
-    | Some r ->
-        Format.printf "divergence at execution %d:@." r.Fuzz.x_exec;
-        Format.printf "--- heap verdict ---@.%a@." Sweep.pp_verdict
-          r.Fuzz.x_heap;
-        Format.printf "--- wheel verdict ---@.%a@." Sweep.pp_verdict
-          r.Fuzz.x_wheel
-  end;
-  if failed then 1 else 0
-
-let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
-    pages disabled plan no_minimize differential cross_sched inject_sched_bug
-    bundle_dir json seed cpus sched =
+(* Campaign cases never dump bundles ([base] carries none); only the
+   final (minimized) witness does, via a bundle-armed re-run below. *)
+let run_fuzz base budget fuzz_seed no_minimize differential bundle_dir json =
   let module Sweep = Core.Check.Sweep in
   let module Fuzz = Core.Check.Fuzz in
   let module Minimize = Core.Check.Minimize in
   let module J = Core.Metrics.Json in
-  set_sched sched;
-  (* Self-test hook for the cross-scheduler differential: disable the
-     wheel's same-instant batch sort so Shuffle dispatch order diverges
-     from the heap — the replay must catch it and exit non-zero. *)
-  if inject_sched_bug then Core.Sim.Engine.debug_no_batch_sort := true;
-  if budget <= 0 || duration_ms <= 0 || pages <= 0 || cpus <= 0 then begin
-    Format.eprintf
-      "--budget, --duration-ms, --pages and --cpus must be positive@.";
-    exit 2
-  end;
-  let base =
-    {
-      Sweep.scenarios = parse_scenarios names;
-      kinds = parse_kinds alloc;
-      sweeps = 1;
-      base_shuffle_seed = shuffle_seed;
-      seed;
-      cpus;
-      duration_ns = duration_ms * 1_000_000;
-      total_pages = pages;
-      mutation = parse_mutation mutate;
-      oracles = parse_oracles disabled;
-      plan = parse_plan plan;
-      (* Campaign cases never dump bundles; only the final (minimized)
-         witness does, via a bundle-armed re-run below. *)
-      bundle_dir = None;
-    }
-  in
+  require_positive "--budget" budget;
   let fcfg = { Fuzz.base; budget; seed = fuzz_seed; stop_on_failure = true } in
-  if cross_sched then run_fuzz_cross_sched fcfg json
-  else if differential then run_fuzz_differential base fcfg alloc json
+  if differential then run_fuzz_differential fcfg json
   else begin
   if not json then
     Format.printf
       "fuzzing: budget %d, fuzz seed %d, workload seed %d, %d scenario(s) x \
        %d allocator(s)...@."
-      budget fuzz_seed seed
+      budget fuzz_seed base.Sweep.seed
       (List.length base.Sweep.scenarios)
       (List.length base.Sweep.kinds);
   let case_json (r : Fuzz.record) =
@@ -1003,16 +859,96 @@ let runs_arg =
   let doc = "Repetitions for mean +/- stdev (paper: 3)." in
   Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
 
-let sched_arg =
-  let doc =
-    "Engine event scheduler: 'wheel' (hierarchical timer wheel, default) \
-     or 'heap' (the original 4-ary heap, kept for differential testing). \
-     Deterministic counters are identical under both."
-  in
-  Arg.(value & opt string "wheel" & info [ "sched" ] ~docv:"S" ~doc)
-
 let params_term =
-  Term.(const params $ sched_arg $ scale_arg $ seed_arg $ cpus_arg $ runs_arg)
+  Term.(const params $ scale_arg $ seed_arg $ cpus_arg $ runs_arg)
+
+let ring_arg ~default doc =
+  Arg.(value & opt int default & info [ "ring" ] ~docv:"N" ~doc)
+
+(* Every --alloc goes through [parse_kinds]; callers say what 'both'
+   means for them. *)
+let alloc_arg ~default doc =
+  let doc =
+    doc ^ " One of slub, prudence, ebr-debra, hyaline, both or all."
+  in
+  Arg.(value & opt string default & info [ "alloc" ] ~docv:"KIND" ~doc)
+
+let scenarios_arg doc =
+  Arg.(value & pos_all string [] & info [] ~docv:"SCENARIO" ~doc)
+
+let chaos_scenarios_doc =
+  "Scenarios (clean, stalled-reader, cb-flood, pressure-spike, alloc-fault) \
+   or 'all' (default)."
+
+let perf_scenarios_doc =
+  "Scenarios (endurance, fig3, chaos-clean) or 'all' (default)."
+
+(* The ten options check and fuzz share, with one set of defaults. *)
+let sweep_base_term =
+  let alloc =
+    alloc_arg ~default:"both" "Allocator/SMR stack(s) ('both' = slub+prudence)."
+  in
+  let shuffle_seed =
+    let doc =
+      "First shuffle seed: check sweeps seeds N..N+sweeps-1, fuzz seeds its \
+       corpus with N. Use the seed printed by a failing run (with \
+       --sweeps=1) to replay it."
+    in
+    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
+  in
+  let mutate =
+    let doc =
+      "Mutation self-test: inject a known kernel bug class and require the \
+       matching oracle to FAIL the run (proof the oracle has teeth). \
+       'skip-gp' reclaims deferred objects without waiting for their grace \
+       period (shadow oracle); 'drop-stall' disarms the stall detector \
+       under pinned grace periods (missed-QS oracle); 'lose-cb' drops \
+       every 64th call_rcu callback between accounting and list \
+       (conservation oracle); 'free-latent-page' lets the shrinker return \
+       still-deferred pages to the buddy (page-reuse oracle); \
+       'skip-epoch-advance' advances the EBR epoch without scanning \
+       reader announcements (early-reuse oracle, --alloc=ebr-debra); \
+       'drop-retire-batch' ripens Hyaline batches while readers still \
+       hold references (early-reuse oracle, --alloc=hyaline)."
+    in
+    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
+  in
+  let duration_ms =
+    let doc =
+      "Virtual run length per case, in milliseconds (fuzz's duration \
+       mutator scales it x0.5..x2)."
+    in
+    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
+  in
+  let pages =
+    let doc = "Physical memory per run, in 4 KiB pages." in
+    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
+  in
+  let disable_oracle =
+    let doc =
+      Printf.sprintf
+        "Disable one oracle (%s); repeatable. Used by the necessity \
+         self-tests: a --mutate run with its oracle disabled must pass."
+        (String.concat ", " Core.Check.Sweep.oracle_names)
+    in
+    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
+  in
+  let plan =
+    let doc =
+      "Fault-plan override in compact form ('seed:spec;spec;...', as \
+       printed by failing replay commands) instead of the scenario's \
+       default plan; fuzz applies it to its seed corpus."
+    in
+    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
+  in
+  let cpus =
+    let doc = "Simulated CPUs per run (fuzz's CPU mutator varies 2..8)." in
+    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
+  in
+  Term.(
+    const sweep_base $ scenarios_arg chaos_scenarios_doc $ alloc
+    $ shuffle_seed $ mutate $ duration_ms $ pages $ disable_oracle $ plan
+    $ seed_arg $ cpus)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available experiments")
@@ -1048,8 +984,8 @@ let trace_cmd =
     Arg.(value & flag & info [ "hist" ] ~doc)
   in
   let ring =
-    let doc = "Per-CPU event-ring capacity (oldest events drop on overflow)." in
-    Arg.(value & opt int 65_536 & info [ "ring" ] ~docv:"N" ~doc)
+    ring_arg ~default:65_536
+      "Per-CPU event-ring capacity (oldest events drop on overflow)."
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1059,23 +995,13 @@ let trace_cmd =
     Term.(const trace_experiment $ id $ out $ hists $ ring $ params_term)
 
 let chaos_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
+  let names = scenarios_arg chaos_scenarios_doc in
   let alloc =
-    let doc =
-      "Reclamation scheme(s): slub, prudence, ebr-debra, hyaline, both \
-       (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
+    alloc_arg ~default:"both" "Reclamation scheme(s) ('both' = slub+prudence)."
   in
   let ring =
-    let doc = "Per-CPU event-ring capacity for the GP-latency histogram." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
+    ring_arg ~default:16_384
+      "Per-CPU event-ring capacity for the GP-latency histogram."
   in
   let bundle_dir =
     let doc =
@@ -1104,16 +1030,10 @@ let anatomy_cmd =
                 pressure-spike, alloc-fault; default clean).")
   in
   let alloc =
-    let doc =
-      "Reclamation scheme(s): slub, prudence, ebr-debra, hyaline, or all \
-       (default; 'both' also maps to all four here)."
-    in
-    Arg.(value & opt string "all" & info [ "alloc" ] ~docv:"KIND" ~doc)
+    alloc_arg ~default:"all"
+      "Reclamation scheme(s) to dissect ('both' = all four here)."
   in
-  let ring =
-    let doc = "Per-CPU event-ring capacity." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
-  in
+  let ring = ring_arg ~default:16_384 "Per-CPU event-ring capacity." in
   let json =
     let doc =
       "Machine-readable output: one NDJSON 'phase' object per (scheme, \
@@ -1155,23 +1075,13 @@ let postmortem_cmd =
     Term.(const run_postmortem $ file)
 
 let tournament_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
+  let names = scenarios_arg chaos_scenarios_doc in
   let alloc =
-    let doc =
-      "Schemes to race: slub, prudence, ebr-debra, hyaline, or all \
-       (default; 'both' also maps to all four here)."
-    in
-    Arg.(value & opt string "all" & info [ "alloc" ] ~docv:"KIND" ~doc)
+    alloc_arg ~default:"all" "Schemes to race ('both' = all four here)."
   in
   let ring =
-    let doc = "Per-CPU event-ring capacity for the latency histograms." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
+    ring_arg ~default:16_384
+      "Per-CPU event-ring capacity for the latency histograms."
   in
   let out =
     let doc =
@@ -1191,71 +1101,9 @@ let tournament_cmd =
     Term.(const run_tournament $ names $ alloc $ ring $ out $ params_term)
 
 let check_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Allocator/SMR stack(s) to sweep: slub, prudence, ebr-debra, hyaline, \
-       both (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
   let sweeps =
     let doc = "Shuffled schedules per (scenario, allocator) pair." in
     Arg.(value & opt int 20 & info [ "sweeps" ] ~docv:"N" ~doc)
-  in
-  let shuffle_seed =
-    let doc =
-      "First shuffle seed; the sweep uses seeds N..N+sweeps-1. Use the \
-       seed printed by a failing run (with --sweeps=1) to replay it."
-    in
-    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
-  in
-  let mutate =
-    let doc =
-      "Mutation self-test: inject a known kernel bug class and require the \
-       matching oracle to FAIL the sweep (proof the oracle has teeth). \
-       'skip-gp' reclaims deferred objects without waiting for their grace \
-       period (shadow oracle); 'drop-stall' disarms the stall detector \
-       under pinned grace periods (missed-QS oracle); 'lose-cb' drops \
-       every 64th call_rcu callback between accounting and list \
-       (conservation oracle); 'free-latent-page' lets the shrinker return \
-       still-deferred pages to the buddy (page-reuse oracle); \
-       'skip-epoch-advance' advances the EBR epoch without scanning \
-       reader announcements (early-reuse oracle, --alloc=ebr-debra); \
-       'drop-retire-batch' ripens Hyaline batches while readers still \
-       hold references (early-reuse oracle, --alloc=hyaline)."
-    in
-    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
-  in
-  let duration_ms =
-    let doc = "Virtual run length per schedule, in milliseconds." in
-    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let pages =
-    let doc = "Physical memory per run, in 4 KiB pages." in
-    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
-  in
-  let disable_oracle =
-    let doc =
-      "Disable one oracle (page-reuse, early-reuse, missed-qs, \
-       cb-conservation); repeatable. Used by the necessity self-tests: a \
-       --mutate run with its oracle disabled must pass."
-    in
-    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
-  in
-  let plan =
-    let doc =
-      "Fault-plan override in compact form ('seed:spec;spec;...', as \
-       printed by failing replay commands) instead of the scenario's \
-       default plan."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
   let skip_diff =
     let doc = "Skip the baseline-vs-Prudence differential trace replay." in
@@ -1270,10 +1118,6 @@ let check_cmd =
     in
     Arg.(
       value & opt (some string) None & info [ "bundle-dir" ] ~docv:"DIR" ~doc)
-  in
-  let cpus =
-    let doc = "Simulated CPUs per run." in
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
   in
   let json =
     let doc =
@@ -1292,25 +1136,10 @@ let check_cmd =
           one trace against both allocators; non-zero exit and a replay \
           command on any violation")
     Term.(
-      const run_check $ names $ alloc $ sweeps $ shuffle_seed $ mutate
-      $ duration_ms $ pages $ disable_oracle $ plan $ skip_diff $ bundle_dir
-      $ json $ seed_arg $ cpus $ sched_arg)
+      const run_check $ sweep_base_term $ sweeps $ skip_diff $ bundle_dir
+      $ json)
 
 let fuzz_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Allocator/SMR stack(s) to fuzz: slub, prudence, ebr-debra, hyaline, \
-       both (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
   let budget =
     let doc = "Maximum cases to execute." in
     Arg.(value & opt int 100 & info [ "budget" ] ~docv:"N" ~doc)
@@ -1321,36 +1150,6 @@ let fuzz_cmd =
        the identical campaign, case for case."
     in
     Arg.(value & opt int 1 & info [ "fuzz-seed" ] ~docv:"N" ~doc)
-  in
-  let mutate =
-    let doc =
-      "Inject a bug class (skip-gp, drop-stall, lose-cb, free-latent-page, \
-       skip-epoch-advance, drop-retire-batch) so the fuzzer has something \
-       to find; used by the guided-vs-brute self-test."
-    in
-    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
-  in
-  let shuffle_seed =
-    let doc = "Shuffle seed for the seed corpus." in
-    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
-  in
-  let duration_ms =
-    let doc = "Base virtual run length per case, in milliseconds (the \
-               duration mutator scales it x0.5..x2)." in
-    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let pages =
-    let doc = "Physical memory per run, in 4 KiB pages." in
-    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
-  in
-  let disable_oracle =
-    let doc = "Disable one oracle (page-reuse, early-reuse, missed-qs, \
-               cb-conservation); repeatable." in
-    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
-  in
-  let plan =
-    let doc = "Fault-plan override for the seed corpus, in compact form." in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
   let no_minimize =
     let doc = "Report the first failure as-is instead of shrinking it." in
@@ -1375,23 +1174,6 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "differential" ] ~doc)
   in
-  let cross_sched =
-    let doc =
-      "Cross-scheduler mode: replay each fuzz input under both engine \
-       schedulers (--sched=heap and --sched=wheel) and require identical \
-       deterministic counters and oracle verdicts; any disagreement is a \
-       finding."
-    in
-    Arg.(value & flag & info [ "cross-sched" ] ~doc)
-  in
-  let inject_sched_bug =
-    let doc =
-      "Self-test: disable the wheel's same-instant batch ordering so its \
-       Shuffle dispatch order diverges from the heap's; a --cross-sched \
-       run with this flag must fail (proof the differential has teeth)."
-    in
-    Arg.(value & flag & info [ "inject-sched-bug" ] ~doc)
-  in
   let json =
     let doc =
       "Machine-readable output: one NDJSON 'case' object per execution, \
@@ -1400,10 +1182,6 @@ let fuzz_cmd =
        seeds and budget."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let cpus =
-    let doc = "Base simulated CPUs per run (the CPU mutator varies 2..8)." in
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1415,15 +1193,13 @@ let fuzz_cmd =
           duration, reduce CPUs) and print a one-line replay command; \
           deterministic and replayable from --fuzz-seed")
     Term.(
-      const run_fuzz $ names $ alloc $ budget $ fuzz_seed $ mutate
-      $ shuffle_seed $ duration_ms $ pages $ disable_oracle $ plan
-      $ no_minimize $ differential $ cross_sched $ inject_sched_bug
-      $ bundle_dir $ json $ seed_arg $ cpus $ sched_arg)
+      const run_fuzz $ sweep_base_term $ budget $ fuzz_seed $ no_minimize
+      $ differential $ bundle_dir $ json)
 
 let stat_cmd =
   let alloc =
-    let doc = "Allocator stack(s) to introspect: slub, prudence or both." in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
+    alloc_arg ~default:"both"
+      "Allocator stack(s) to introspect ('both' = slub+prudence)."
   in
   let duration_ms =
     let doc = "Virtual run length in milliseconds (scaled by --scale)." in
@@ -1476,15 +1252,10 @@ let stat_cmd =
     Term.(
       const run_stat $ alloc $ duration_ms $ sample_every $ capacity $ watch
       $ series $ format $ registry_table $ pages $ scale_arg $ seed_arg
-      $ cpus_arg $ sched_arg)
+      $ cpus_arg)
 
 let perf_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (endurance, fig3, chaos-clean) or 'all' (default).")
-  in
+  let names = scenarios_arg perf_scenarios_doc in
   let out =
     let doc = "Output file for the wall-clock benchmark JSON." in
     Arg.(
@@ -1504,12 +1275,7 @@ let perf_cmd =
     Term.(const run_perf $ names $ out $ params_term)
 
 let prof_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (endurance, fig3, chaos-clean) or 'all' (default).")
-  in
+  let names = scenarios_arg perf_scenarios_doc in
   let top =
     let doc = "Show only the $(docv) heaviest spans per run (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"N" ~doc)

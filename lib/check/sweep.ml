@@ -43,6 +43,36 @@ let all_oracles =
   { page_reuse = true; early_reuse = true; missed_qs = true;
     cb_conservation = true }
 
+(* Each oracle's command-line name, its switch, and the switch turned
+   off: the one table flag parsing and replay commands both read. *)
+let oracle_table =
+  [
+    ( "page-reuse",
+      (fun o -> o.page_reuse),
+      fun o -> { o with page_reuse = false } );
+    ( "early-reuse",
+      (fun o -> o.early_reuse),
+      fun o -> { o with early_reuse = false } );
+    ( "missed-qs",
+      (fun o -> o.missed_qs),
+      fun o -> { o with missed_qs = false } );
+    ( "cb-conservation",
+      (fun o -> o.cb_conservation),
+      fun o -> { o with cb_conservation = false } );
+  ]
+
+let oracle_names = List.map (fun (name, _, _) -> name) oracle_table
+
+let disable_oracle o name =
+  List.find_map
+    (fun (n, _, off) -> if n = name then Some (off o) else None)
+    oracle_table
+
+let disabled_oracles o =
+  List.filter_map
+    (fun (name, on, _) -> if on o then None else Some name)
+    oracle_table
+
 type config = {
   scenarios : W.Chaos.scenario list;
   kinds : W.Env.kind list;
@@ -96,7 +126,6 @@ type verdict = {
   audit_failures : string list;
   dropped_violations : int;
   oracle_events : int;
-  events : int;
   updates : int;
   survived : bool;
   replay : string;
@@ -112,7 +141,7 @@ let ok v =
 let replay_command cfg case =
   Printf.sprintf
     "prudence-repro check %s --alloc=%s --seed=%d --shuffle-seed=%d \
-     --sweeps=1 --cpus=%d --duration-ms=%d --pages=%d%s%s"
+     --sweeps=1 --cpus=%d --duration-ms=%d --pages=%d%s%s%s"
     (W.Chaos.scenario_name case.scenario)
     (W.Env.kind_label case.kind)
     cfg.seed case.shuffle_seed cfg.cpus
@@ -121,6 +150,8 @@ let replay_command cfg case =
     (match cfg.mutation with
     | No_mutation -> ""
     | m -> " --mutate=" ^ mutation_name m)
+    (String.concat ""
+       (List.map (( ^ ) " --disable-oracle=") (disabled_oracles cfg.oracles)))
     (match cfg.plan with
     | None -> ""
     | Some p -> Printf.sprintf " --plan='%s'" (Faults.Plan.to_compact p))
@@ -316,7 +347,6 @@ let run_case ?coverage cfg case =
         + Rcu.Readers.dropped_violations env.W.Env.readers
         + Oracles.dropped_violations orc;
       oracle_events = Shadow.events oracle;
-      events = Sim.Engine.executed env.W.Env.eng;
       updates = r.W.Endurance.updates;
       survived = r.W.Endurance.oom_at_ns = None;
       replay = replay_command cfg case;

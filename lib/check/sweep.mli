@@ -59,6 +59,14 @@ val all_oracles : oracles
     [--mutate] self-test can prove its oracle necessary (mutant passes
     with the oracle off). *)
 
+val oracle_names : string list
+(** The oracles' command-line names, as [--disable-oracle] takes them:
+    ["page-reuse"], ["early-reuse"], ["missed-qs"], ["cb-conservation"]. *)
+
+val disable_oracle : oracles -> string -> oracles option
+(** [disable_oracle o name] is [o] with the oracle called [name]
+    switched off; [None] if no oracle has that name. *)
+
 type config = {
   scenarios : Workloads.Chaos.scenario list;
   kinds : Workloads.Env.kind list;
@@ -111,10 +119,6 @@ type verdict = {
   dropped_violations : int;
       (** Violations past the bounded logs (shadow + readers + oracles). *)
   oracle_events : int;  (** Probe events seen: sanity that hooks fired. *)
-  events : int;
-      (** Engine events executed: the deterministic counter the
-          cross-scheduler fuzz differential compares between [Heap] and
-          [Wheel] runs of the same case. *)
   updates : int;
   survived : bool;  (** Informational; OOM under faults is not a failure. *)
   replay : string;  (** Command line reproducing this exact case. *)
@@ -140,6 +144,9 @@ val plan_for : config -> case -> Faults.Plan.t
     shrinks. *)
 
 val replay_command : config -> case -> string
+(** The [prudence-repro check] command that reruns exactly this case:
+    seeds, sizes, the mutation, every disabled oracle and the fault-plan
+    override. *)
 
 val cases : config -> case list
 (** The full (scenario × kind × shuffle-seed) matrix, in run order. *)

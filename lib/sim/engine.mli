@@ -1,17 +1,14 @@
 (** Virtual-time discrete-event engine.
 
     The engine owns a monotonically increasing virtual clock (nanoseconds)
-    and a pending-event scheduler. Events scheduled for the same instant run
-    in scheduling order (FIFO), which makes every simulation deterministic
-    for a given seed.
-
-    Two scheduler implementations dispatch the exact same event order:
-
-    - {!Wheel} (default): a hierarchical timer wheel (Varghese-Lauck)
-      over flat structure-of-arrays event slots — O(1) schedule, batched
-      same-instant dispatch, zero allocation in steady state.
-    - {!Heap}: the original 4-ary binary-comparison heap, kept for
-      differential testing ([--sched=heap]).
+    and a pending-event scheduler: a hierarchical timer wheel
+    (Varghese-Lauck, {!Wheel}) over flat structure-of-arrays event slots,
+    with O(1) schedule, batched same-instant dispatch and zero allocation
+    in steady state. Events dispatch in ascending (time, {!tie_for},
+    sequence number) order; under {!Fifo} same-instant events run in
+    scheduling order, which makes every simulation deterministic for a
+    given seed. The test suite checks this order against a sorted-list
+    reference model.
 
     The engine is single-threaded on purpose: the reproduction models a
     64-CPU machine with virtual time rather than real parallelism, which is
@@ -36,33 +33,20 @@ type tiebreak =
           different seeds explore different serializations of logically
           concurrent events. *)
 
-type sched =
-  | Heap  (** Original 4-ary heap scheduler. *)
-  | Wheel  (** Hierarchical timer wheel (default). *)
+val tie_for : tiebreak -> time:int -> seq:int -> int
+(** The same-instant ordering key of the event with sequence number
+    [seq] scheduled for [time]: events at one instant dispatch by
+    ascending (key, seq). Always [0] under {!Fifo}. *)
 
-val default_sched : sched ref
-(** Scheduler used by {!create} when [?sched] is omitted. [Wheel]
-    unless overridden (the CLI's [--sched] flag sets this before any
-    engine is built). *)
-
-val sched_of_string : string -> sched option
-(** ["heap"] / ["wheel"]. *)
-
-val sched_label : sched -> string
-
-val create : ?seed:int -> ?tiebreak:tiebreak -> ?sched:sched -> unit -> t
+val create : ?seed:int -> ?tiebreak:tiebreak -> unit -> t
 (** [create ~seed ()] makes a fresh engine at time 0. Default seed 42,
-    default tie-break {!Fifo} (the historical, byte-identical order),
-    default scheduler [!default_sched]. *)
+    default tie-break {!Fifo} (the historical, byte-identical order). *)
 
 val id : t -> int
 (** A number unique to this engine among those created by the program. *)
 
 val tiebreak : t -> tiebreak
 (** The engine's same-instant tie-break policy. *)
-
-val sched : t -> sched
-(** The scheduler this engine was built with. *)
 
 val now : t -> int
 (** Current virtual time in nanoseconds. *)
@@ -77,8 +61,8 @@ val prof : t -> Prof.t
 val set_prof : t -> Prof.t -> unit
 (** Install a profiler. The engine opens [engine.dispatch] /
     [engine.schedule] spans around event execution and scheduling, plus
-    [engine.wheel_advance] / [engine.bucket_drain] (wheel) or
-    [engine.heap_pop] (heap) around event extraction. *)
+    [engine.wheel_advance] / [engine.bucket_drain] around event
+    extraction. *)
 
 val set_observer : t -> (time:int -> unit) option -> unit
 (** Install (or clear) a per-executed-event observer, called with the
@@ -132,16 +116,15 @@ val compactions : t -> int
 (** Number of tombstone-compaction sweeps performed (diagnostic). *)
 
 val wheel_occupancy : t -> int
-(** Events currently held by the scheduler structure (wheel buckets +
-    overflow + front heap, or heap length including tombstones).
-    Diagnostic gauge; excludes the active dispatch batch. *)
+(** Events currently held by the wheel (buckets + overflow + front
+    heap, tombstones included). Diagnostic gauge; excludes the active
+    dispatch batch. *)
 
 val cascades : t -> int
-(** Timer-wheel buckets cascaded down a level so far (0 under heap). *)
+(** Timer-wheel buckets cascaded down a level so far. *)
 
 val spills : t -> int
-(** Events that landed in the out-of-horizon overflow heap (0 under
-    heap). *)
+(** Events that landed in the out-of-horizon overflow heap. *)
 
 val run_until_quiet : ?horizon:int -> t -> unit
 (** Run while there is live work: non-daemon events queued or processes
@@ -164,7 +147,7 @@ val every : t -> period:int -> ?phase:int -> (unit -> bool) -> unit
     and the engine is not stopped. *)
 
 val debug_no_batch_sort : bool ref
-(** Test-only fault injection: when true, the wheel skips the Shuffle
-    same-instant batch sort, deliberately breaking tie-break order. The
-    QCheck equivalence suite and the cross-scheduler fuzz differential
-    use this to prove they detect ordering bugs. Never set elsewhere. *)
+(** Test-only fault injection: when true, the engine skips the Shuffle
+    same-instant batch sort, deliberately breaking tie-break order. Only
+    the QCheck model test sets it, to prove it detects ordering bugs.
+    Never set elsewhere. *)

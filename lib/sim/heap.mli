@@ -1,6 +1,6 @@
 (** Array-backed min-heap (4-ary) over arbitrary elements.
 
-    Used as the event queue of the simulation {!Engine}; also reusable as a
+    Used as the {!Wheel}'s overflow and front queues; also reusable as a
     generic priority queue. Elements are ordered by the comparison function
     supplied at creation time; ties are broken by insertion order only if the
     caller encodes a sequence number in the element (the engine does). *)
@@ -43,8 +43,8 @@ val iter : ('a -> unit) -> 'a t -> unit
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** [filter_in_place keep h] drops every element for which [keep] is
     [false] and re-establishes the heap property bottom-up. O(n),
-    allocation-free. The engine uses it to compact cancelled-event
-    tombstones out of the event queue. *)
+    allocation-free. The wheel uses it to compact cancelled-event
+    tombstones out of its heaps. *)
 
 val to_sorted_list : 'a t -> 'a list
 (** [to_sorted_list h] drains [h] and returns its elements smallest-first.

@@ -41,8 +41,6 @@ val dummy_fn : unit -> unit
 val create_pool : unit -> pool
 val alloc_slot : pool -> int
 val free_slot : pool -> int -> unit
-val slot_cmp : pool -> int -> int -> int
-(** (time, tie, seq) ascending; total because seqs are unique. *)
 
 (** {1 Wheel} *)
 

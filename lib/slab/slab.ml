@@ -9,8 +9,7 @@
     - {!Ebr}: epoch-based reclamation (DEBRA-amortized advancement)
     - {!Hyaline}: snapshot-free reference-batched retirement
     - {!Slub}: the baseline allocator (deferred frees via [call_rcu])
-    - {!Backend}: allocator-agnostic interface used by the workloads
-    - {!Kmalloc}: size-class facade *)
+    - {!Backend}: allocator-agnostic interface used by the workloads *)
 
 module Size_class = Size_class
 module Costs = Costs
@@ -22,4 +21,3 @@ module Ebr = Ebr
 module Hyaline = Hyaline
 module Backend = Backend
 module Slub = Slub
-module Kmalloc = Kmalloc

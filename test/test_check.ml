@@ -174,6 +174,27 @@ let test_sweep_deterministic_replay () =
   Alcotest.(check bool) "replay names the shuffle seed" true
     (contains ~affix:"--shuffle-seed=13" a.Sweep.replay)
 
+(* A replay must rerun the same oracle set: every oracle the config
+   switched off reappears as a --disable-oracle flag, and only those. *)
+let test_replay_carries_disabled_oracles () =
+  let case =
+    { Sweep.scenario = W.Chaos.Clean;
+      kind = W.Env.Prudence_alloc;
+      shuffle_seed = 1 }
+  in
+  let replay oracles =
+    Sweep.replay_command
+      { small_sweep with Sweep.mutation = Sweep.Skip_gp; oracles }
+      case
+  in
+  let r = replay { Sweep.all_oracles with Sweep.missed_qs = false } in
+  Alcotest.(check bool) "disabled oracle named" true
+    (contains ~affix:" --disable-oracle=missed-qs" r);
+  Alcotest.(check bool) "enabled oracles not named" false
+    (contains ~affix:"--disable-oracle=page-reuse" r);
+  Alcotest.(check bool) "all oracles on: no flag" false
+    (contains ~affix:"--disable-oracle" (replay Sweep.all_oracles))
+
 (* Mutation self-test: reclaim one grace period early (Prudence with
    unsafe_skip_gp pretends everything is ripe). The oracle must fail the
    sweep with early-reuse violations and hand back a replayable seed. *)
@@ -318,6 +339,8 @@ let suite =
     Alcotest.test_case "sweep: smoke matrix clean" `Quick test_sweep_smoke;
     Alcotest.test_case "sweep: verdicts replay deterministically" `Quick
       test_sweep_deterministic_replay;
+    Alcotest.test_case "sweep: replay carries disabled oracles" `Quick
+      test_replay_carries_disabled_oracles;
     Alcotest.test_case "mutation: skip-gp makes the sweep fail" `Quick
       test_sweep_skip_gp_mutation_fires;
     Alcotest.test_case "mutation: skip-epoch-advance caught on ebr-debra"

@@ -1,19 +1,104 @@
-(* Timer-wheel scheduler tests: the QCheck model proving wheel and heap
-   are observationally equivalent, plus targeted unit tests for the
-   wheel's horizon machinery (cascade boundaries, overflow spills, the
-   below-cursor front heap) that random programs rarely hit squarely. *)
+(* Timer-wheel scheduler tests: a QCheck model test proving the engine
+   dispatches exactly like a sorted-list reference model, plus targeted
+   unit tests for the wheel's horizon machinery (cascade boundaries,
+   overflow spills, the below-cursor front heap) that random programs
+   rarely hit squarely. *)
 
 module E = Sim.Engine
 
-(* ---------------- random-program equivalence model ----------------
+(* ---------------- sorted-list reference model ----------------
+
+   The engine's dispatch contract, written as plainly as possible:
+   pending events sit in a list sorted by (time, tie key, seq), with the
+   tie key taken from the engine's own [E.tie_for]; dispatch takes the
+   head. [run ~until], [step], [cancel] and [pending] mirror the
+   engine's semantics. *)
+
+module type SCHED = sig
+  type t
+  type handle
+
+  val create : tiebreak:E.tiebreak -> t
+  val now : t -> int
+  val schedule : t -> after:int -> (unit -> unit) -> handle
+  val cancel : t -> handle -> unit
+  val run : ?until:int -> t -> unit
+  val step : t -> bool
+  val executed : t -> int
+  val pending : t -> int
+end
+
+module Engine_sched : SCHED = struct
+  include E
+
+  let create ~tiebreak = E.create ~tiebreak ()
+  let schedule t ~after fn = E.schedule t ~after fn
+end
+
+module Model : SCHED = struct
+  type ev = { time : int; key : int; seq : int; fn : unit -> unit }
+
+  type t = {
+    tiebreak : E.tiebreak;
+    mutable now : int;
+    mutable next_seq : int;
+    mutable queue : ev list;  (* ascending (time, key, seq) *)
+    mutable executed : int;
+  }
+
+  type handle = int (* the event's seq *)
+
+  let create ~tiebreak =
+    { tiebreak; now = 0; next_seq = 0; queue = []; executed = 0 }
+
+  let now t = t.now
+  let executed t = t.executed
+  let pending t = List.length t.queue
+  let order e = (e.time, e.key, e.seq)
+
+  let rec insert e = function
+    | x :: rest when order x < order e -> x :: insert e rest
+    | l -> e :: l
+
+  let schedule t ~after fn =
+    let seq = t.next_seq in
+    let time = t.now + after in
+    t.next_seq <- seq + 1;
+    let key = E.tie_for t.tiebreak ~time ~seq in
+    t.queue <- insert { time; key; seq; fn } t.queue;
+    seq
+
+  let cancel t seq = t.queue <- List.filter (fun e -> e.seq <> seq) t.queue
+
+  let dispatch t ~until =
+    match t.queue with
+    | e :: rest when e.time <= until ->
+        t.queue <- rest;
+        t.now <- e.time;
+        t.executed <- t.executed + 1;
+        e.fn ();
+        true
+    | _ -> false
+
+  let step t = dispatch t ~until:max_int
+
+  let run ?until t =
+    let horizon = Option.value until ~default:max_int in
+    while dispatch t ~until:horizon do
+      ()
+    done;
+    match until with Some u when u > t.now -> t.now <- u | _ -> ()
+end
+
+(* ---------------- random-program equivalence ----------------
 
    A program is a sequence of scheduler operations interpreted
-   identically against a heap engine and a wheel engine. Every executed
-   event appends (virtual time, event id) to a log; the two logs (plus
-   executed counts and final clocks) must match exactly. Ids are handed
-   out in execution order for nested events, so any dispatch-order
-   divergence shows up as differing logs even when the time streams
-   agree. *)
+   identically against the engine and the model. Every executed event
+   appends (virtual time, event id) to a log; the two logs (plus
+   executed counts, final clocks and pending counts) must match exactly.
+   Ids are handed out in execution order for nested events, so any
+   dispatch-order divergence shows up as differing logs even when the
+   time streams agree. *)
 
 type op =
   | Sched of int  (* schedule at now + delay, log on fire *)
@@ -24,8 +109,8 @@ type op =
   | Run_until of int  (* run ~until:(now + u) *)
   | Step  (* single-step once *)
 
-let run_program ~sched ~tiebreak ops =
-  let eng = E.create ~sched ~tiebreak () in
+let run_program (module S : SCHED) ~tiebreak ops =
+  let eng = S.create ~tiebreak in
   let log = ref [] in
   let next_id = ref 0 in
   let handles = ref [||] in
@@ -39,11 +124,11 @@ let run_program ~sched ~tiebreak ops =
     !handles.(!n_handles) <- h;
     incr n_handles
   in
-  let fire id () = log := (E.now eng, id) :: !log in
+  let fire id () = log := (S.now eng, id) :: !log in
   let sched_logged ~after k =
     let id = !next_id in
     incr next_id;
-    remember (E.schedule eng ~after (fun () -> fire id (); k ()))
+    remember (S.schedule eng ~after (fun () -> fire id (); k ()))
   in
   List.iter
     (fun op ->
@@ -55,12 +140,12 @@ let run_program ~sched ~tiebreak ops =
                  equal dispatch order, not just equal times *)
               sched_logged ~after:d2 (fun () -> ()))
       | Cancel k ->
-          if !n_handles > 0 then E.cancel eng !handles.(k mod !n_handles)
-      | Run_until u -> E.run ~until:(E.now eng + u) eng
-      | Step -> ignore (E.step eng))
+          if !n_handles > 0 then S.cancel eng !handles.(k mod !n_handles)
+      | Run_until u -> S.run ~until:(S.now eng + u) eng
+      | Step -> ignore (S.step eng))
     ops;
-  E.run eng;
-  (List.rev !log, E.executed eng, E.now eng, E.pending eng)
+  S.run eng;
+  (List.rev !log, S.executed eng, S.now eng, S.pending eng)
 
 let op_gen =
   QCheck.Gen.(
@@ -111,15 +196,15 @@ let program_arb =
            ops))
 
 let equivalent ~tiebreak ops =
-  run_program ~sched:E.Heap ~tiebreak ops
-  = run_program ~sched:E.Wheel ~tiebreak ops
+  run_program (module Model) ~tiebreak ops
+  = run_program (module Engine_sched) ~tiebreak ops
 
 let prop_equiv_fifo =
-  QCheck.Test.make ~name:"wheel = heap: (time, id) streams (Fifo)" ~count:300
+  QCheck.Test.make ~name:"engine = model: (time, id) streams (Fifo)" ~count:300
     program_arb (equivalent ~tiebreak:E.Fifo)
 
 let prop_equiv_shuffle =
-  QCheck.Test.make ~name:"wheel = heap: (time, id) streams (Shuffle)"
+  QCheck.Test.make ~name:"engine = model: (time, id) streams (Shuffle)"
     ~count:300 program_arb
     (fun ops ->
       equivalent ~tiebreak:(E.Shuffle 7) ops
@@ -146,7 +231,7 @@ let test_detects_injected_ordering_bug () =
 (* ---------------- wheel-horizon unit tests ---------------- *)
 
 let test_cascade_boundaries () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
   (* One event per wheel level plus an out-of-horizon spill. *)
@@ -166,7 +251,7 @@ let test_cascade_boundaries () =
 let test_same_instant_across_cascade () =
   (* Events scheduled from different times at the same far instant must
      still dispatch FIFO after cascading down. *)
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let target = (1 lsl 17) + 42 in
   let log = ref [] in
   ignore (E.schedule_at eng ~time:target (fun () -> log := 0 :: !log));
@@ -182,7 +267,7 @@ let test_front_heap_after_horizon_peek () =
   (* run ~until peeks past the pending event, advancing the wheel
      cursor beyond the horizon; scheduling into that gap must still
      dispatch in time order (via the front heap). *)
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let log = ref [] in
   ignore (E.schedule eng ~after:1_000 (fun () -> log := "far" :: !log));
   E.run ~until:500 eng;
@@ -196,7 +281,7 @@ let test_front_heap_after_horizon_peek () =
     (List.rev !log)
 
 let test_cancel_compaction_wheel () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ran = ref 0 in
   let handles =
     List.init 100 (fun i ->
@@ -210,7 +295,7 @@ let test_cancel_compaction_wheel () =
   Alcotest.(check int) "none left" 0 (E.pending eng)
 
 let test_stale_handle_ignored () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ran = ref 0 in
   let h = E.schedule eng ~after:5 (fun () -> incr ran) in
   E.run eng;
@@ -223,7 +308,7 @@ let test_stale_handle_ignored () =
   Alcotest.(check int) "both events ran" 2 !ran
 
 let test_daemon_quiet_wheel () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ticks = ref 0 in
   E.every eng ~period:100 (fun () -> incr ticks; true);
   ignore (E.schedule eng ~after:450 ignore);

@@ -111,18 +111,11 @@ let parse_scenarios names =
       names
 
 let parse_kinds alloc =
-  match alloc with
-  | "both" -> [ Core.Workloads.Env.Baseline; Core.Workloads.Env.Prudence_alloc ]
-  | "all" -> Core.Workloads.Env.all_kinds
-  | s -> (
-      match Core.Workloads.Env.kind_of_string s with
-      | Some k -> [ k ]
-      | None ->
-          Format.eprintf
-            "unknown allocator %S (slub, prudence, ebr-debra, hyaline, both, \
-             all)@."
-            s;
-          exit 2)
+  match Core.Workloads.Env.parse_kinds alloc with
+  | Ok kinds -> kinds
+  | Error e ->
+      Format.eprintf "%s@." e;
+      exit 2
 
 let chaos_params ring p =
   require_positive "--ring" ring;
@@ -152,11 +145,7 @@ let run_anatomy name alloc ring json p =
                 Core.Workloads.Chaos.all_scenarios));
         exit 2
   in
-  let kinds =
-    match alloc with
-    | "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> parse_kinds alloc
-  in
+  let kinds = parse_kinds alloc in
   let cp = chaos_params ring p in
   let results = Core.Anatomy.run ~kinds cp scenario in
   if json then
@@ -191,9 +180,7 @@ let run_postmortem file =
 let run_tournament names alloc ring out p =
   let module T = Core.Tournament in
   let scenarios = parse_scenarios names in
-  let kinds = match alloc with "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> parse_kinds alloc
-  in
+  let kinds = parse_kinds alloc in
   let cp = chaos_params ring p in
   let cells = T.run ~kinds cp scenarios in
   Core.Metrics.Report.print Format.std_formatter (T.report_cells kinds cells);
@@ -572,7 +559,8 @@ let run_fuzz_differential fcfg json =
   let module Fuzz = Core.Check.Fuzz in
   let module Diff = Core.Check.Differential in
   let module J = Core.Metrics.Json in
-  (* A multi-kind --alloc (both or all) replays on every backend. *)
+  (* A multi-kind --alloc (both or all) replays on every backend: the
+     default is 'both', and differential mode means every backend. *)
   let kinds =
     match fcfg.Fuzz.base.Core.Check.Sweep.kinds with
     | [ _ ] as kinds -> kinds
@@ -865,8 +853,8 @@ let params_term =
 let ring_arg ~default doc =
   Arg.(value & opt int default & info [ "ring" ] ~docv:"N" ~doc)
 
-(* Every --alloc goes through [parse_kinds]; callers say what 'both'
-   means for them. *)
+(* Every --alloc goes through [parse_kinds]: 'both' is slub+prudence
+   and 'all' is every scheme, for every command. *)
 let alloc_arg ~default doc =
   let doc =
     doc ^ " One of slub, prudence, ebr-debra, hyaline, both or all."
@@ -1031,7 +1019,7 @@ let anatomy_cmd =
   in
   let alloc =
     alloc_arg ~default:"all"
-      "Reclamation scheme(s) to dissect ('both' = all four here)."
+      "Reclamation scheme(s) to dissect."
   in
   let ring = ring_arg ~default:16_384 "Per-CPU event-ring capacity." in
   let json =
@@ -1077,7 +1065,7 @@ let postmortem_cmd =
 let tournament_cmd =
   let names = scenarios_arg chaos_scenarios_doc in
   let alloc =
-    alloc_arg ~default:"all" "Schemes to race ('both' = all four here)."
+    alloc_arg ~default:"all" "Schemes to race."
   in
   let ring =
     ring_arg ~default:16_384
@@ -1168,9 +1156,10 @@ let fuzz_cmd =
     let doc =
       "Differential mode: instead of the coverage-guided campaign, draw \
        random op traces from the fuzz RNG and replay each under every \
-       reclamation backend (--alloc=all by default); any divergence in the \
-       backend-independent outcome sequence, or any oracle hit, is a \
-       finding."
+       reclamation backend; any divergence in the backend-independent \
+       outcome sequence, or any oracle hit, is a finding. A single-scheme \
+       --alloc replays on that scheme alone; any multi-scheme value, \
+       including the default 'both', replays on all four."
     in
     Arg.(value & flag & info [ "differential" ] ~doc)
   in

@@ -5,9 +5,9 @@
 
     {v live -> deferred(cookie) -> ripe -> reclaimed -> live -> ... v}
 
-    by listening to the {!Slab.Frame.probe} hooks plus the reader access
-    hook, and flags the failures procrastination-based reclamation must
-    never exhibit:
+    by subscribing to the object edges and the [Reader_hold] edge of the
+    engine's {!Sim.Probe}, and flags the failures procrastination-based
+    reclamation must never exhibit:
 
     - {e early reuse}: a deferred object enters a free pool (object cache
       or slab freelist) before its grace period has completed — the memory
@@ -58,10 +58,10 @@ type t
 val install :
   ?page_reuse:bool -> ?early_reuse:bool -> ?coverage:Coverage.t ->
   Workloads.Env.t -> t
-(** Wire the oracle into a built environment: sets the frame's probe
-    record (under the [check.probe] prof span), registers a frontier-
-    advance hook (under RCU: grace-period completion) that promotes
-    deferred objects to ripe, and installs the reader access hook.
+(** Wire the oracle into a built environment: subscribes one handler,
+    run under the [check.probe] prof span, to the probe's object and
+    reader-hold edges, and registers a frontier-advance hook (under RCU:
+    grace-period completion) that promotes deferred objects to ripe.
     Ripeness is judged against the environment's {i truthful} SMR view
     ([env.smr]) — an opaque token compare, so the oracle works for any
     backend and stays honest under frontier-corrupting mutations.
@@ -69,8 +69,8 @@ val install :
     [early_reuse] (default [true]) the object-pool check — the off
     switches exist so each [--mutate] self-test can prove its oracle
     necessary. When [coverage] is given, every shadow-state transition
-    feeds it. Install at most one oracle per environment (the hooks are
-    overwritten, not chained). *)
+    feeds it. Install at most one oracle per environment (each install
+    subscribes its own handler). *)
 
 val violations : t -> violation list
 (** Oldest first; at most {!max_logged_violations} entries. *)

@@ -1,6 +1,7 @@
 (* The grace-period anatomy tracer + object-lineage flight recorder.
 
-   One instance observes a whole environment through taps that are pure
+   One instance observes a whole environment through the engine's
+   observation bus (Sim.Probe) and the truthful frontier hook, both pure
    observation — they read the virtual clock and mutate only their own
    state, never consume virtual time, and never schedule events — so a
    run with the recorder armed is byte-identical (in every deterministic
@@ -236,60 +237,32 @@ let note_page_release t ~oid =
 
 (* {1 Wiring} *)
 
-let probe t =
-  {
-    Slab.Frame.on_alloc = (fun ~oid -> note_alloc t ~oid);
-    on_free = (fun ~oid:_ -> ());
-    on_defer = (fun ~oid ~cookie -> note_defer t ~oid ~cookie);
-    on_pool = (fun ~oid ~cookie:_ -> note_pool t ~oid);
-    on_page_release =
-      (fun ~oids ->
-        List.iter (fun (oid, _) -> note_page_release t ~oid) oids);
-  }
-
-let instrument_smr t (smr : Slab.Smr.t) =
-  if not t.enabled then smr
-  else
-    {
-      smr with
-      Slab.Smr.request =
-        (fun () ->
-          note_request t;
-          smr.Slab.Smr.request ());
-    }
+(* Detection edges name their scheme: RCU grace periods run under every
+   stack (epoch-backed ones still [call_rcu]), so a recorder only stamps
+   tokens from [Gp_*] edges when RCU is the scheme it measures. *)
+let subscribe t ~rcu probe =
+  if t.enabled then
+    Sim.Probe.subscribe probe
+      ([
+         Sim.Probe.Obj_alloc; Obj_defer; Obj_pool; Obj_page_release;
+         Smr_request; Epoch_scan; Epoch_blocked; Batch_seal; Batch_unref;
+       ]
+      @ if rcu then [ Gp_request; Gp_start; Gp_qs ] else [])
+      (fun edge ~cpu ~a ~b ->
+        match edge with
+        | Obj_alloc -> note_alloc t ~oid:a
+        | Obj_defer -> note_defer t ~oid:a ~cookie:b
+        | Obj_pool -> note_pool t ~oid:a
+        | Obj_page_release -> note_page_release t ~oid:a
+        | Gp_request | Smr_request -> note_request t
+        | Gp_start | Batch_seal -> note_start t ~token:a
+        | Epoch_scan -> note_start_open t
+        | Gp_qs | Epoch_blocked | Batch_unref -> note_qs t ~cpu
+        | Obj_free | Reader_hold -> ())
 
 let observe_frontier t (smr : Slab.Smr.t) =
   if t.enabled then
     smr.Slab.Smr.on_ripen (fun f -> note_complete t ~frontier:f)
-
-let install_rcu t rcu =
-  if t.enabled then
-    Rcu.set_obs rcu
-      (Some
-         {
-           Rcu.obs_request = (fun () -> note_request t);
-           obs_start = (fun ~seq -> note_start t ~token:seq);
-           obs_qs = (fun ~cpu ~remaining:_ -> note_qs t ~cpu);
-         })
-
-let install_ebr t e =
-  if t.enabled then
-    Slab.Ebr.set_obs e
-      (Some
-         {
-           Slab.Ebr.obs_attempt = (fun () -> note_start_open t);
-           obs_blocked = (fun ~cpu -> note_qs t ~cpu);
-         })
-
-let install_hyaline t h =
-  if t.enabled then
-    Slab.Hyaline.set_obs h
-      (Some
-         {
-           Slab.Hyaline.obs_seal =
-             (fun ~batch ~refs:_ -> note_start t ~token:batch);
-           obs_unref = (fun ~batch:_ ~cpu ~refs:_ -> note_qs t ~cpu);
-         })
 
 (* {1 Results} *)
 

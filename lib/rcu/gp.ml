@@ -52,14 +52,6 @@ type pcpu = {
   mutable softirq_scheduled : bool;
 }
 
-type obs = {
-  obs_request : unit -> unit;
-  obs_start : seq:int -> unit;
-  obs_qs : cpu:int -> remaining:int -> unit;
-}
-(* Grace-period anatomy taps (Obs.Anatomy). Pure observation: fired behind
-   one load-and-branch, never consume virtual time. *)
-
 type t = {
   machine : Sim.Machine.t;
   engine : Sim.Engine.t;
@@ -80,7 +72,6 @@ type t = {
       (* fired at outermost read-side entry/exit; lets epoch-based SMR
          schemes observe reader quiescence without touching the
          read-side fast path when unset *)
-  mutable obs : obs option;
   (* stats *)
   mutable s_gps_started : int;
   mutable s_gps_completed : int;
@@ -98,7 +89,8 @@ type t = {
 let machine t = t.machine
 let config t = t.cfg
 let tracer t = Sim.Machine.tracer t.machine
-let prof t = Sim.Machine.prof t.machine
+let prof t = Sim.Engine.prof t.engine
+let probe t = Sim.Engine.probe t.engine
 let now t = Sim.Engine.now t.engine
 let completed t = t.completed_gps
 let pending_callbacks t = t.pending
@@ -128,7 +120,6 @@ let poll t cookie = t.completed_gps >= cookie
 let on_gp_complete t fn = t.gp_hooks <- t.gp_hooks @ [ fn ]
 
 let set_section_hooks t hooks = t.section_hooks <- hooks
-let set_obs t obs = t.obs <- obs
 
 let read_lock t (cpu : Sim.Machine.cpu) =
   (match t.section_hooks with
@@ -182,7 +173,7 @@ let rec start_gp t =
   t.gp_requested <- false;
   t.s_gps_started <- t.s_gps_started + 1;
   t.gp_started_at <- now t;
-  (match t.obs with Some o -> o.obs_start ~seq:t.s_gps_started | None -> ());
+  Sim.Probe.emit (probe t) Gp_start ~cpu:(-1) ~a:t.s_gps_started ~b:0;
   (let tr = tracer t in
    if Trace.enabled tr then
      Trace.emit tr ~time:t.gp_started_at ~cpu:(-1) ~arg:t.s_gps_started
@@ -253,19 +244,17 @@ let quiescent_state t (cpu : Sim.Machine.cpu) =
   if t.gp_active && t.qs_needed.(cpu.id) then begin
     t.qs_needed.(cpu.id) <- false;
     t.qs_remaining <- t.qs_remaining - 1;
-    (match t.obs with
-    | Some o -> o.obs_qs ~cpu:cpu.id ~remaining:t.qs_remaining
-    | None -> ());
+    Sim.Probe.emit (probe t) Gp_qs ~cpu:cpu.id ~a:t.qs_remaining ~b:0;
     if t.qs_remaining = 0 then complete_gp t
   end;
   Prof.exit (prof t) Prof.Span.Rcu_qs
 
 let request_gp t =
-  (match t.obs with Some o -> o.obs_request () | None -> ());
+  Sim.Probe.emit (probe t) Gp_request ~cpu:(-1) ~a:0 ~b:0;
   if t.gp_active then t.gp_requested <- true else start_gp t
 
 let call_rcu_arg t (cpu : Sim.Machine.cpu) fn arg =
-  (match t.obs with Some o -> o.obs_request () | None -> ());
+  Sim.Probe.emit (probe t) Gp_request ~cpu:cpu.id ~a:0 ~b:0;
   let cookie = snapshot t in
   let pc = t.percpu.(cpu.id) in
   let lost =
@@ -396,7 +385,6 @@ let create ?(config = default_config) machine =
       gp_cond = Sim.Process.Cond.create (Sim.Machine.engine machine);
       gp_hooks = [];
       section_hooks = None;
-      obs = None;
       s_gps_started = 0;
       s_gps_completed = 0;
       s_cbs_queued = 0;

@@ -77,27 +77,9 @@ val set_section_hooks :
     epoch-based SMR schemes observe reader quiescence — including
     sections opened directly via {!read_lock}, e.g. by the fault
     injector's stalled readers. [None] (the default) leaves the
-    read-side fast path untouched. *)
-
-type obs = {
-  obs_request : unit -> unit;
-      (** Grace-period detection was requested ({!call_rcu} or
-          {!request_gp}); fires before the token is issued. *)
-  obs_start : seq:int -> unit;
-      (** Grace period [seq] (1-based start ordinal) began its QS sweep.
-          [seq] completes as frontier value [seq]. *)
-  obs_qs : cpu:int -> remaining:int -> unit;
-      (** [cpu] reported a quiescent state for the active grace period;
-          [remaining] CPUs are still holdouts ([0] = this report completes
-          the sweep). *)
-}
-(** Grace-period anatomy taps for the observability layer ([Obs.Anatomy]).
-    Must be pure observation: fired synchronously behind one
-    load-and-branch, never consuming virtual time, so an instrumented run
-    stays byte-identical to an uninstrumented one. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
+    read-side fast path untouched. These hooks drive reclamation, so
+    they are not {!Sim.Probe} edges (RCU emits [Gp_request], [Gp_start],
+    [Gp_qs]). *)
 
 (** {1 Update side} *)
 
@@ -134,7 +116,9 @@ val request_gp : t -> unit
     which has latent objects but enqueues no callbacks. *)
 
 val on_gp_complete : t -> (int -> unit) -> unit
-(** [on_gp_complete t fn] calls [fn completed] after each grace period. *)
+(** [on_gp_complete t fn] calls [fn completed] after each grace period,
+    in registration order. It drives reclamation, so it is not a
+    {!Sim.Probe} edge. *)
 
 (** {1 Pressure and diagnostics} *)
 

@@ -11,7 +11,7 @@ type t = {
   mutable violation_log : string list; (* reversed; first K kept *)
   mutable logged : int;
   mutable dropped : int;
-  mutable access_hook : (cpu:int -> oid:int -> unit) option;
+  probe : Sim.Probe.t;
 }
 
 (* Bound the log so a badly mutated run inside a long fuzz session cannot
@@ -28,10 +28,8 @@ let create rcu =
     violation_log = [];
     logged = 0;
     dropped = 0;
-    access_hook = None;
+    probe = Sim.Engine.probe (Sim.Machine.engine (Gp.machine rcu));
   }
-
-let set_access_hook t hook = t.access_hook <- hook
 
 let rcu t = t.rcu
 
@@ -74,9 +72,7 @@ let exit t (cpu : Sim.Machine.cpu) =
   Gp.read_unlock t.rcu cpu
 
 let hold t (cpu : Sim.Machine.cpu) ~oid =
-  (match t.access_hook with
-  | Some hook -> hook ~cpu:cpu.id ~oid
-  | None -> ());
+  Sim.Probe.emit t.probe Reader_hold ~cpu:cpu.id ~a:oid ~b:0;
   if cpu.rcu_nesting = 0 then
     record_violation t
       (Printf.sprintf "cpu%d held a reference to object %d outside a \
@@ -127,3 +123,7 @@ let check_reusable t ~oid ~where =
       (Printf.sprintf
          "%s: object %d reused while %d reader(s) still reference it" where
          oid n)
+
+let watch_reuse t =
+  Sim.Probe.subscribe t.probe [ Obj_alloc ] (fun _ ~cpu:_ ~a ~b:_ ->
+      check_reusable t ~oid:a ~where:"alloc")

@@ -29,7 +29,8 @@ val exit : t -> Sim.Machine.cpu -> unit
 val hold : t -> Sim.Machine.cpu -> oid:int -> unit
 (** Record that the current section on [cpu] references object [oid]
     (a non-negative object id; refcounts are indexed by it). Recording
-    outside a section is itself a violation. *)
+    outside a section is itself a violation. Emits [Reader_hold] on the
+    engine's {!Sim.Probe} before any bookkeeping. *)
 
 val release : t -> Sim.Machine.cpu -> oid:int -> unit
 (** Drop one reference to [oid] from [cpu]'s current section. *)
@@ -57,8 +58,7 @@ val dropped_violations : t -> int
 val max_logged_violations : int
 (** Log bound (first-K retention). *)
 
-val set_access_hook : t -> (cpu:int -> oid:int -> unit) option -> unit
-(** Install a probe fired on every {!hold} (a reader dereferencing object
-    [oid] on [cpu]) before any bookkeeping. The shadow-heap oracle uses it
-    to flag readers touching objects that have already been reclaimed.
-    [None] (default) disables it. *)
+val watch_reuse : t -> unit
+(** Run {!check_reusable} (tagged ["alloc"]) on every object the slab
+    frame hands to a mutator: subscribes to the engine probe's
+    [Obj_alloc] edge. Call at most once per reader set. *)

@@ -24,6 +24,7 @@ type t = {
   wheel : Wheel.t;
   rng : Rng.t;
   mutable prof : Prof.t;
+  probe : Probe.t;
   mutable observer : (time:int -> unit) option;
   (* Wheel dispatch batch: the same-instant event list currently being
      executed, as slot indices. [batch_pos < batch_len] means active;
@@ -86,6 +87,7 @@ let create ?(seed = 42) ?(tiebreak = Fifo) () =
     wheel = Wheel.create pool;
     rng = Rng.create ~seed;
     prof = Prof.null;
+    probe = Probe.create ();
     observer = None;
     batch = [||];
     scratch = [||];
@@ -100,6 +102,7 @@ let rng t = t.rng
 let tiebreak t = t.tiebreak
 let prof t = t.prof
 let set_prof t prof = t.prof <- prof
+let probe t = t.probe
 let set_observer t obs = t.observer <- obs
 
 let batch_active t = t.batch_pos < t.batch_len

@@ -64,12 +64,17 @@ val set_prof : t -> Prof.t -> unit
     [engine.wheel_advance] / [engine.bucket_drain] around event
     extraction. *)
 
+val probe : t -> Probe.t
+(** The observation bus the layers on this engine emit into. *)
+
 val set_observer : t -> (time:int -> unit) option -> unit
 (** Install (or clear) a per-executed-event observer, called with the
     event's virtual time after its handler returns. Pure observation for
     coverage signals: the observer runs outside the scheduling path,
     consumes no sequence numbers, and must not schedule events — so an
-    observed run is event-for-event identical to an unobserved one. *)
+    observed run is event-for-event identical to an unobserved one.
+    Not a {!probe} edge: it is the per-dispatch hot path, and the
+    wall-clock harness installs it directly. *)
 
 val schedule : ?daemon:bool -> t -> after:int -> (unit -> unit) -> handle
 (** [schedule t ~after fn] runs [fn] at time [now t + after].

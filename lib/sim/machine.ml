@@ -18,7 +18,6 @@ type t = {
   mutable hooks : (cpu -> unit) list;
   mutable started : bool;
   mutable tracer : Trace.t;
-  mutable prof : Prof.t;
 }
 
 let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
@@ -47,7 +46,6 @@ let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
     hooks = [];
     started = false;
     tracer = Trace.null;
-    prof = Prof.null;
   }
 
 let engine t = t.engine
@@ -62,11 +60,7 @@ let on_context_switch t hook = t.hooks <- hook :: t.hooks
 
 let tracer t = t.tracer
 let set_tracer t tracer = t.tracer <- tracer
-let prof t = t.prof
-
-let set_prof t prof =
-  t.prof <- prof;
-  Engine.set_prof t.engine prof
+let prof t = Engine.prof t.engine
 
 let context_switch t c =
   c.ctx_switches <- c.ctx_switches + 1;

@@ -70,12 +70,8 @@ val set_tracer : t -> Trace.t -> unit
     events; RCU and the allocators emit through the same tracer. *)
 
 val prof : t -> Prof.t
-(** The machine's profiler; {!Prof.null} (disabled) unless {!set_prof}
-    was called. Subsystems running on the machine (RCU, the allocators)
-    open their spans through it. *)
-
-val set_prof : t -> Prof.t -> unit
-(** Install a profiler on the machine and its engine. *)
+(** The engine's profiler ({!Engine.prof}). Subsystems running on the
+    machine (RCU, the allocators) open their spans through it. *)
 
 val consume : cpu -> int -> unit
 (** [consume c ns] charges [ns] of virtual time to [c]. *)

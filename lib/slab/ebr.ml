@@ -36,14 +36,6 @@ type config = {
 let default_config =
   { advance_every = 64; poll_period_ns = 100_000; unsafe_no_scan = false }
 
-type obs = {
-  obs_attempt : unit -> unit;
-  obs_blocked : cpu:int -> unit;
-}
-(* Anatomy taps (Obs.Anatomy): an advancement attempt while tokens are
-   outstanding, and the pinned CPUs whose stale announcements blocked a
-   failed scan. Pure observation, one load-and-branch when uninstalled. *)
-
 type t = {
   engine : Sim.Engine.t;
   cfg : config;
@@ -57,7 +49,6 @@ type t = {
   mutable backend_hooks : (int -> unit) list;
   mutable poller_armed : bool;
   cond : Sim.Process.Cond.t;
-  mutable obs : obs option;
 }
 
 let create ?(config = default_config) ~cpus engine =
@@ -74,10 +65,7 @@ let create ?(config = default_config) ~cpus engine =
     backend_hooks = [];
     poller_armed = false;
     cond = Sim.Process.Cond.create engine;
-    obs = None;
   }
-
-let set_obs t obs = t.obs <- obs
 
 let frontier t = t.epoch - 2
 
@@ -86,9 +74,6 @@ let backend_frontier t =
 
 let epoch t = t.epoch
 let last_issued t = t.last_issued
-
-(* Hooks fire in registration order. *)
-let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
 
 let scan_clear t =
   let ok = ref true in
@@ -105,25 +90,24 @@ let try_advance t =
   in
   if unsafe_adv then t.unsafe_epoch <- t.unsafe_epoch + 1;
   let want = frontier t < t.last_issued in
-  (match t.obs with Some o when want -> o.obs_attempt () | _ -> ());
+  let probe = Sim.Engine.probe t.engine in
+  if want then Sim.Probe.emit probe Epoch_scan ~cpu:(-1) ~a:0 ~b:0;
   let adv = want && scan_clear t in
-  (match t.obs with
-  | Some o when want && not adv ->
-      Array.iteri
-        (fun i pinned ->
-          if pinned && t.announced.(i) <> t.epoch then o.obs_blocked ~cpu:i)
-        t.pinned
-  | _ -> ());
+  if want && (not adv) && Sim.Probe.active probe Epoch_blocked then
+    for i = 0 to Array.length t.pinned - 1 do
+      if t.pinned.(i) && t.announced.(i) <> t.epoch then
+        Sim.Probe.emit probe Epoch_blocked ~cpu:i ~a:0 ~b:0
+    done;
   if adv then begin
     t.epoch <- t.epoch + 1;
     if not t.cfg.unsafe_no_scan then t.unsafe_epoch <- t.epoch
   end;
   (* Backend (allocator) hooks before oracle hooks, mirroring the
      prudence-then-shadow registration order under RCU. *)
-  if unsafe_adv then fire t.backend_hooks (t.unsafe_epoch - 2);
+  if unsafe_adv then Smr.fire t.backend_hooks (t.unsafe_epoch - 2);
   if adv then begin
-    if not t.cfg.unsafe_no_scan then fire t.backend_hooks (frontier t);
-    fire t.hooks (frontier t)
+    if not t.cfg.unsafe_no_scan then Smr.fire t.backend_hooks (frontier t);
+    Smr.fire t.hooks (frontier t)
   end;
   if adv || unsafe_adv then Sim.Process.Cond.broadcast t.cond
 
@@ -178,7 +162,11 @@ let view t ~frontierf ~register =
     defer = (fun ~cpu -> defer t ~cpu);
     ripe_upto = (fun () -> frontierf ());
     advance = (fun () -> try_advance t);
-    request = (fun () -> if outstanding t then arm_poller t);
+    request =
+      (fun () ->
+        Sim.Probe.emit (Sim.Engine.probe t.engine) Smr_request ~cpu:(-1) ~a:0
+          ~b:0;
+        if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;
     reader_enter = Some (reader_enter t);
@@ -188,9 +176,9 @@ let view t ~frontierf ~register =
 let smr t =
   view t
     ~frontierf:(fun () -> backend_frontier t)
-    ~register:(fun f -> t.backend_hooks <- f :: t.backend_hooks)
+    ~register:(fun f -> t.backend_hooks <- t.backend_hooks @ [ f ])
 
 let oracle_smr t =
   view t
     ~frontierf:(fun () -> frontier t)
-    ~register:(fun f -> t.hooks <- f :: t.hooks)
+    ~register:(fun f -> t.hooks <- t.hooks @ [ f ])

@@ -20,26 +20,15 @@ val default_config : config
 type t
 
 val create : ?config:config -> cpus:int -> Sim.Engine.t -> t
+(** Emits [Epoch_scan], [Epoch_blocked] and [Smr_request] on the engine's
+    {!Sim.Probe}; the views' [on_ripen] and reader hooks drive reclamation
+    and stay off it. *)
+
 val epoch : t -> int
 val frontier : t -> int
 val backend_frontier : t -> int
 val last_issued : t -> int
 val try_advance : t -> unit
-
-type obs = {
-  obs_attempt : unit -> unit;
-      (** An advancement attempt ran while tokens were outstanding — the
-          start of an epoch-scan detection cycle. *)
-  obs_blocked : cpu:int -> unit;
-      (** [cpu] was pinned with a stale announcement in a failed scan —
-          the epoch-world holdout report. *)
-}
-(** Anatomy taps for the observability layer ([Obs.Anatomy]). Pure
-    observation behind one load-and-branch; never consumes virtual
-    time. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
 
 val smr : t -> Smr.t
 (** The allocator's view: honest unless [unsafe_no_scan]. *)

@@ -1,13 +1,5 @@
 type grow_retry_policy = { max_retries : int; base_backoff_ns : int }
 
-type probe = {
-  on_alloc : oid:int -> unit;
-  on_free : oid:int -> unit;
-  on_defer : oid:int -> cookie:int -> unit;
-  on_pool : oid:int -> cookie:int -> unit;
-  on_page_release : oids:(int * int) list -> unit;
-}
-
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
@@ -18,9 +10,7 @@ type env = {
          here (with a hold that grows with the slab order, modelling page
          zeroing and higher-order assembly). This is the contention that
          makes the baseline collapse at large object sizes (Fig. 6). *)
-  mutable reuse_check : (int -> unit) option;
-  mutable probe : probe option;
-  mutable obs_probe : probe option;
+  probe : Sim.Probe.t;
   mutable grow_retry : grow_retry_policy option;
   mutable debug_checks : bool;
   mutable unsafe_destroy_latent : bool;
@@ -36,9 +26,7 @@ let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
     pressure;
     costs;
     page_lock = Sim.Simlock.create ~name:"page-allocator";
-    reuse_check = None;
-    probe = None;
-    obs_probe = None;
+    probe = Sim.Engine.probe (Sim.Machine.engine machine);
     grow_retry = None;
     debug_checks;
     unsafe_destroy_latent = false;
@@ -349,12 +337,7 @@ let take_free_obj slab =
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
 let probe_pool env obj =
-  (match env.probe with
-  | Some p -> p.on_pool ~oid:obj.oid ~cookie:obj.gp_cookie
-  | None -> ());
-  match env.obs_probe with
-  | Some p -> p.on_pool ~oid:obj.oid ~cookie:obj.gp_cookie
-  | None -> ()
+  Sim.Probe.emit env.probe Obj_pool ~cpu:(-1) ~a:obj.oid ~b:obj.gp_cookie
 
 let put_free_obj slab obj =
   assert (obj.parent == slab);
@@ -404,15 +387,8 @@ let footprint_doublings cache =
   end
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
-  (match cache.env.reuse_check with
-  | Some check -> check obj.oid
-  | None -> ());
-  (match cache.env.probe with
-  | Some p -> p.on_alloc ~oid:obj.oid
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_alloc ~oid:obj.oid
-  | None -> ());
+  Sim.Probe.emit cache.env.probe Obj_alloc ~cpu:cpu.id ~a:obj.oid
+    ~b:obj.gp_cookie;
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -441,23 +417,14 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
    (mutation self-tests: double free, double defer) reaches the oracle
    before the simulation aborts. *)
 let release_from_user cache obj =
-  (match cache.env.probe with
-  | Some p -> p.on_free ~oid:obj.oid
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_free ~oid:obj.oid
-  | None -> ());
+  Sim.Probe.emit cache.env.probe Obj_free ~cpu:(-1) ~a:obj.oid
+    ~b:obj.gp_cookie;
   assert (obj.ostate = Allocated);
   cache.live_objs <- cache.live_objs - 1;
   ignore obj
 
 let stamp_deferred cache obj ~cookie =
-  (match cache.env.probe with
-  | Some p -> p.on_defer ~oid:obj.oid ~cookie
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_defer ~oid:obj.oid ~cookie
-  | None -> ());
+  Sim.Probe.emit cache.env.probe Obj_defer ~cpu:(-1) ~a:obj.oid ~b:cookie;
   assert (obj.ostate = Allocated);
   obj.gp_cookie <- cookie;
   if Trace.enabled (tracer cache) then obj.deferred_at <- now cache;
@@ -631,16 +598,17 @@ let destroy_slab cache slab =
   (* The page-reuse boundary: report objects still deferred on this page
      before it goes back to the buddy. Empty on every non-mutated run
      (truly-free slabs have no latent objects). *)
-  (if slab.latent_n > 0 then
-     let fire p =
-       let oids = ref [] in
-       Latq.iter
-         (fun o -> oids := (o.oid, o.gp_cookie) :: !oids)
-         slab.latent_objs;
-       p.on_page_release ~oids:!oids
-     in
-     (match cache.env.probe with Some p -> fire p | None -> ());
-     match cache.env.obs_probe with Some p -> fire p | None -> ());
+  (let probe = cache.env.probe in
+   if slab.latent_n > 0 && Sim.Probe.active probe Obj_page_release then
+     (* Reverse {!Latq.iter} order: violation logs and bundles list
+        page releases in it. *)
+     let objs = ref [] in
+     Latq.iter (fun o -> objs := o :: !objs) slab.latent_objs;
+     List.iter
+       (fun o ->
+         Sim.Probe.emit probe Obj_page_release ~cpu:(-1) ~a:o.oid
+           ~b:o.gp_cookie)
+       !objs);
   (* Scrub the latent bookkeeping the mutated path orphans, so the cache
      counters stay conserved and only the page-level oracle can tell. *)
   if slab.latent_n > 0 then begin

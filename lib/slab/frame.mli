@@ -21,31 +21,6 @@ type grow_retry_policy = {
     grow path (see {!grow}). Requires process context (the backoff sleeps);
     disabled by default. *)
 
-type probe = {
-  on_alloc : oid:int -> unit;
-      (** An object was handed to a mutator ({!hand_to_user}). *)
-  on_free : oid:int -> unit;
-      (** Immediate (non-deferred) release ({!release_from_user}); fires
-          before the state assert so broken callers reach the oracle. *)
-  on_defer : oid:int -> cookie:int -> unit;
-      (** Deferred free stamped with its grace-period cookie
-          ({!stamp_deferred}); fires before the state assert. *)
-  on_pool : oid:int -> cookie:int -> unit;
-      (** The object entered a free pool (object cache or slab freelist) —
-          the reuse boundary a deferred object must not cross before its
-          grace period completes. [cookie] is the object's current
-          grace-period stamp. *)
-  on_page_release : oids:(int * int) list -> unit;
-      (** The slab's page is about to return to the buddy allocator;
-          [oids] lists [(oid, gp_cookie)] for every object on the page
-          still in a latent (deferred) state. Empty on every legal
-          destroy — a non-empty list is the premature page-reuse bug
-          class the page-level oracle checks. *)
-}
-(** Verification probes for the shadow-heap safety oracle ([Check.Oracle]).
-    All off ([None]) by default: the probe record is consulted per event
-    but never allocated per event, so disabled probes cost one branch. *)
-
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
@@ -55,16 +30,14 @@ type env = {
       (** The page allocator's zone lock: slab grow/shrink serializes here
           with a hold that scales with slab order (page zeroing), the
           driver of the baseline's large-object collapse in Fig. 6. *)
-  mutable reuse_check : (int -> unit) option;
-      (** Safety hook: called with the object id whenever an object is
-          handed to a mutator; wired to {!Rcu.Readers.check_reusable}. *)
-  mutable probe : probe option;
-      (** Shadow-heap verification probes; see {!probe}. *)
-  mutable obs_probe : probe option;
-      (** Second, independent probe slot for the observability layer's
-          flight recorder ([Obs.Anatomy]) — fires at the same five
-          sites, after {!probe}, so the safety oracle and the lineage
-          recorder can coexist on one environment. *)
+  probe : Sim.Probe.t;
+      (** The engine's observation bus. The frame emits the object
+          edges: [Obj_alloc] ({!hand_to_user}), [Obj_free]
+          ({!release_from_user}), [Obj_defer] ({!stamp_deferred}),
+          [Obj_pool] (entry to an object cache or slab freelist: the
+          reuse boundary a deferred object must not cross before its
+          token ripens) and [Obj_page_release] ({!destroy_slab}, once per
+          object still latent on the page — never on a legal destroy). *)
   mutable grow_retry : grow_retry_policy option;
       (** When set, {!grow} retries transient page-alloc failures (those
           {!Mem.Buddy.would_satisfy} proves injected, not genuine
@@ -78,7 +51,7 @@ type env = {
           destroy pre-moved slabs whose objects are all latent — returning
           a page to the buddy while objects on it may still be inside
           their grace period. The destroy path scrubs the latent counters,
-          so only the {!probe}'s [on_page_release] hook can tell. Never
+          so only an [Obj_page_release] subscriber can tell. Never
           set outside [--mutate=free-latent-page] self-tests. *)
   mutable next_oid : int;
   mutable next_sid : int;
@@ -284,7 +257,7 @@ val pop_ocache_exn : pcpu -> objekt
 
 val hand_to_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark [objekt] allocated, bump live counters, charge the first-touch
-    cost if its memory was never used, run the reuse-safety hook. *)
+    cost if its memory was never used; emits [Obj_alloc] first. *)
 
 val release_from_user : cache -> objekt -> unit
 (** Mark a mutator release (immediate free path): decrements live count. *)

@@ -34,15 +34,6 @@ let default_config =
 
 type batch = { id : int; mutable refs : int }
 
-type obs = {
-  obs_seal : batch:int -> refs:int -> unit;
-  obs_unref : batch:int -> cpu:int -> refs:int -> unit;
-}
-(* Anatomy taps (Obs.Anatomy): a batch sealing with its initial reader
-   credit, and each reader decrement — the last decrement to zero is the
-   batch's holdout. Pure observation, one load-and-branch when
-   uninstalled. *)
-
 type t = {
   engine : Sim.Engine.t;
   cfg : config;
@@ -58,7 +49,6 @@ type t = {
   mutable backend_hooks : (int -> unit) list;
   mutable poller_armed : bool;
   cond : Sim.Process.Cond.t;
-  mutable obs : obs option;
 }
 
 let create ?(config = default_config) ~cpus engine =
@@ -77,10 +67,7 @@ let create ?(config = default_config) ~cpus engine =
     backend_hooks = [];
     poller_armed = false;
     cond = Sim.Process.Cond.create engine;
-    obs = None;
   }
-
-let set_obs t obs = t.obs <- obs
 
 let frontier t = t.frontier
 
@@ -88,8 +75,6 @@ let backend_frontier t =
   if t.cfg.unsafe_drop_refs then t.sealed_upto else t.frontier
 
 let last_issued t = t.last_issued
-
-let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
 
 let advance_frontier t =
   let advanced = ref false in
@@ -104,8 +89,8 @@ let advance_frontier t =
     else blocked := true
   done;
   if !advanced then begin
-    if not t.cfg.unsafe_drop_refs then fire t.backend_hooks t.frontier;
-    fire t.hooks t.frontier;
+    if not t.cfg.unsafe_drop_refs then Smr.fire t.backend_hooks t.frontier;
+    Smr.fire t.hooks t.frontier;
     Sim.Process.Cond.broadcast t.cond
   end
 
@@ -119,16 +104,15 @@ let seal t =
           t.credited.(i) <- b :: t.credited.(i)
         end)
       t.active;
-    (match t.obs with
-    | Some o -> o.obs_seal ~batch:b.id ~refs:b.refs
-    | None -> ());
+    Sim.Probe.emit (Sim.Engine.probe t.engine) Batch_seal ~cpu:(-1) ~a:b.id
+      ~b:b.refs;
     Queue.push b t.sealed_q;
     t.sealed_upto <- b.id;
     t.open_id <- t.open_id + 1;
     t.open_fill <- 0;
     if t.cfg.unsafe_drop_refs then begin
       (* The mutated frontier jumps at seal, references be damned. *)
-      fire t.backend_hooks t.sealed_upto;
+      Smr.fire t.backend_hooks t.sealed_upto;
       Sim.Process.Cond.broadcast t.cond
     end;
     advance_frontier t
@@ -167,12 +151,11 @@ let reader_exit t (cpu : Sim.Machine.cpu) =
   (match t.credited.(i) with
   | [] -> ()
   | batches ->
+      let probe = Sim.Engine.probe t.engine in
       List.iter
         (fun b ->
           b.refs <- b.refs - 1;
-          match t.obs with
-          | Some o -> o.obs_unref ~batch:b.id ~cpu:i ~refs:b.refs
-          | None -> ())
+          Sim.Probe.emit probe Batch_unref ~cpu:i ~a:b.id ~b:b.refs)
         batches;
       t.credited.(i) <- [];
       advance_frontier t)
@@ -196,7 +179,11 @@ let view t ~frontierf ~register =
       (fun () ->
         seal t;
         advance_frontier t);
-    request = (fun () -> if outstanding t then arm_poller t);
+    request =
+      (fun () ->
+        Sim.Probe.emit (Sim.Engine.probe t.engine) Smr_request ~cpu:(-1) ~a:0
+          ~b:0;
+        if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;
     reader_enter = Some (reader_enter t);
@@ -206,9 +193,9 @@ let view t ~frontierf ~register =
 let smr t =
   view t
     ~frontierf:(fun () -> backend_frontier t)
-    ~register:(fun f -> t.backend_hooks <- f :: t.backend_hooks)
+    ~register:(fun f -> t.backend_hooks <- t.backend_hooks @ [ f ])
 
 let oracle_smr t =
   view t
     ~frontierf:(fun () -> frontier t)
-    ~register:(fun f -> t.hooks <- f :: t.hooks)
+    ~register:(fun f -> t.hooks <- t.hooks @ [ f ])

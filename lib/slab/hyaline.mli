@@ -20,26 +20,14 @@ val default_config : config
 type t
 
 val create : ?config:config -> cpus:int -> Sim.Engine.t -> t
+(** Emits [Batch_seal], [Batch_unref] and [Smr_request] on the engine's
+    {!Sim.Probe}; the views' [on_ripen] and reader hooks drive reclamation
+    and stay off it. *)
+
 val frontier : t -> int
 val backend_frontier : t -> int
 val last_issued : t -> int
 val seal : t -> unit
-
-type obs = {
-  obs_seal : batch:int -> refs:int -> unit;
-      (** Batch [batch] sealed, credited with [refs] active readers —
-          the start of its settling cycle. *)
-  obs_unref : batch:int -> cpu:int -> refs:int -> unit;
-      (** Reader on [cpu] released its credit on [batch]; [refs] remain
-          ([0] = this decrement lets the frontier pass the batch — the
-          holdout report). *)
-}
-(** Anatomy taps for the observability layer ([Obs.Anatomy]). Pure
-    observation behind one load-and-branch; never consumes virtual
-    time. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
 
 val smr : t -> Smr.t
 (** The allocator's view: honest unless [unsafe_drop_refs]. *)

@@ -42,6 +42,13 @@ type t = {
 
 let ripe t token = token <= t.ripe_upto ()
 
+let rec fire hooks frontier =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+      f frontier;
+      fire rest frontier
+
 (* The RCU mapping is 1:1 with the calls Prudence used to make
    directly, so slub/prudence behaviour is unchanged to the byte:
    defer = snapshot, ripe_upto = completed, request = request_gp,

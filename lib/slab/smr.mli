@@ -22,6 +22,11 @@ type t = {
 val ripe : t -> int -> bool
 (** [ripe t token] — has the frontier passed [token]? *)
 
+val fire : (int -> unit) list -> int -> unit
+(** Call each [on_ripen] hook with the new frontier, head first; schemes
+    append on registration, as {!Rcu.on_gp_complete} does. These hooks
+    drive reclamation, so they are not {!Sim.Probe} edges. *)
+
 val of_rcu : Rcu.t -> t
 (** The identity mapping onto RCU grace periods: defer = snapshot,
     ripe_upto = completed, request = request_gp, wait = synchronize,

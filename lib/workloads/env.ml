@@ -15,6 +15,19 @@ let kind_of_string = function
   | "hyaline" -> Some Hyaline_alloc
   | _ -> None
 
+let parse_kinds = function
+  | "both" -> Ok [ Baseline; Prudence_alloc ]
+  | "all" -> Ok all_kinds
+  | s -> (
+      match kind_of_string s with
+      | Some k -> Ok [ k ]
+      | None ->
+          Error
+            (Printf.sprintf
+               "unknown allocator %S (slub, prudence, ebr-debra, hyaline, \
+                both, all)"
+               s))
+
 type config = {
   kind : kind;
   cpus : int;
@@ -85,7 +98,7 @@ let build cfg =
     | Some ring_capacity -> Trace.create ~ring_capacity ~ncpus:cfg.cpus ()
   in
   Sim.Machine.set_tracer machine tracer;
-  Sim.Machine.set_prof machine cfg.prof;
+  Sim.Engine.set_prof eng cfg.prof;
   Sim.Machine.start machine;
   let buddy = Mem.Buddy.create ~total_pages:cfg.total_pages () in
   Mem.Buddy.set_prof buddy cfg.prof;
@@ -97,13 +110,10 @@ let build cfg =
       ~debug_checks:cfg.debug_checks machine buddy
   in
   let readers = Rcu.Readers.create rcu in
-  if cfg.track_readers then
-    fenv.Slab.Frame.reuse_check <-
-      Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"alloc");
-  (* The anatomy recorder observes the frame (lineages), the backend's
-     detection hooks (phase edges) and the truthful frontier. Pure
-     observation: deterministic counters are identical with it on or
-     off. *)
+  if cfg.track_readers then Rcu.Readers.watch_reuse readers;
+  (* The anatomy recorder observes the engine's probe (lineages and
+     detection edges) and the truthful frontier. Pure observation:
+     deterministic counters are identical with it on or off. *)
   let obs =
     if cfg.obs then
       Obs.Anatomy.create ~scheme:(kind_label cfg.kind)
@@ -111,8 +121,11 @@ let build cfg =
         ()
     else Obs.Anatomy.null
   in
-  if Obs.Anatomy.enabled obs then
-    fenv.Slab.Frame.obs_probe <- Some (Obs.Anatomy.probe obs);
+  Obs.Anatomy.subscribe obs
+    ~rcu:(match cfg.kind with
+         | Baseline | Prudence_alloc -> true
+         | Ebr_debra | Hyaline_alloc -> false)
+    (Sim.Engine.probe eng);
   (* [smr] is the truthful reclamation view: identical to the
      allocator's view except under an unsafe (mutation) config, where
      the allocator consumes the corrupted frontier while oracles keep
@@ -123,7 +136,6 @@ let build cfg =
     with
     | Some enter, Some exit -> Rcu.set_section_hooks rcu (Some (enter, exit))
     | _ -> ());
-    let backend_smr = Obs.Anatomy.instrument_smr obs backend_smr in
     let p =
       Prudence.create_smr ~config:cfg.prudence_config ~label fenv backend_smr
     in
@@ -133,24 +145,20 @@ let build cfg =
   let backend, smr =
     match cfg.kind with
     | Baseline ->
-        Obs.Anatomy.install_rcu obs rcu;
         (Slab.Slub.backend (Slab.Slub.create fenv rcu), Slab.Smr.of_rcu rcu)
     | Prudence_alloc ->
-        Obs.Anatomy.install_rcu obs rcu;
         let p = Prudence.create ~config:cfg.prudence_config fenv rcu in
         (* No-op unless the config enables emergency_flush. *)
         Prudence.attach_pressure p pressure;
         (Prudence.backend p, Slab.Smr.of_rcu rcu)
     | Ebr_debra ->
         let e = Slab.Ebr.create ~config:cfg.ebr_config ~cpus:cfg.cpus eng in
-        Obs.Anatomy.install_ebr obs e;
         wire_epoch_prudence ~label:"ebr-debra" ~backend_smr:(Slab.Ebr.smr e)
           ~oracle_smr:(Slab.Ebr.oracle_smr e)
     | Hyaline_alloc ->
         let h =
           Slab.Hyaline.create ~config:cfg.hyaline_config ~cpus:cfg.cpus eng
         in
-        Obs.Anatomy.install_hyaline obs h;
         wire_epoch_prudence ~label:"hyaline" ~backend_smr:(Slab.Hyaline.smr h)
           ~oracle_smr:(Slab.Hyaline.oracle_smr h)
   in

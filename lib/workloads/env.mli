@@ -14,6 +14,11 @@ val kind_label : kind -> string
 
 val kind_of_string : string -> kind option
 
+val parse_kinds : string -> (kind list, string) result
+(** An [--alloc] value: one kind name ({!kind_of_string}), ["both"]
+    (slub and prudence) or ["all"] ({!all_kinds}). The error names the
+    accepted values. *)
+
 type config = {
   kind : kind;
   cpus : int;
@@ -33,13 +38,15 @@ type config = {
       (** Batch tuning for the [Hyaline_alloc] kind. *)
   costs : Slab.Costs.t;
   track_readers : bool;
-      (** Arm the premature-reuse safety checker (small overhead). *)
+      (** Arm the premature-reuse safety checker
+          ({!Rcu.Readers.watch_reuse}; small overhead). *)
   trace : int option;
       (** [Some ring_capacity]: install a live {!Trace} tracer on the
           machine (per-CPU event rings of that capacity + latency
           histograms). [None] (default): tracing disabled, zero overhead. *)
   prof : Prof.t;
-      (** Profiler installed on the engine, machine, and buddy allocator;
+      (** Profiler installed on the engine (the machine and every layer
+          on it read it from there) and the buddy allocator;
           {!Prof.null} (default): profiling disabled, zero overhead. *)
   debug_checks : bool;
       (** Arm {!Slab.Frame.check_invariants}' O(objects) sweeps (default
@@ -47,9 +54,9 @@ type config = {
   obs : bool;
       (** Arm the {!Obs.Anatomy} grace-period anatomy tracer / flight
           recorder (default [false]: the shared {!Obs.Anatomy.null}
-          instance, one load-and-branch per hook site). Pure
-          observation — deterministic counters are byte-identical with
-          it on or off. *)
+          instance, which subscribes to nothing). Pure observation —
+          deterministic counters are byte-identical with it on or
+          off. *)
 }
 
 val default_config : config
@@ -74,14 +81,14 @@ type t = {
   tracer : Trace.t;  (** The machine's tracer; {!Trace.null} when off. *)
   prof : Prof.t;  (** The installed profiler; {!Prof.null} when off. *)
   obs : Obs.Anatomy.t;
-      (** The anatomy recorder; {!Obs.Anatomy.null} when off. Observes
-          the frame's [obs_probe], the backend's detection taps, and the
-          truthful frontier ([smr]). *)
+      (** The anatomy recorder; {!Obs.Anatomy.null} when off. Watches the
+          engine's {!Sim.Probe} (object edges and [kind]'s own detection
+          edges) and the truthful frontier ([smr]). *)
 }
 
 val build : config -> t
 (** Construct and start the stack (machine ticks running, RCU attached to
-    pressure, reuse check wired when [track_readers]). *)
+    pressure, reuse check subscribed when [track_readers]). *)
 
 val cpu : t -> int -> Sim.Machine.cpu
 

@@ -71,6 +71,22 @@ let test_reader_section () =
   in
   check_budget "Readers enter/hold/release/exit" ~budget:0. words
 
+(* The observation bus costs nothing per emit: not on an edge nobody
+   watches, and not on a watched edge whose handler allocates nothing. *)
+let test_probe_emit () =
+  let p = Sim.Probe.create () in
+  let sum = ref 0 in
+  Sim.Probe.subscribe p [ Obj_pool ] (fun _ ~cpu:_ ~a ~b:_ -> sum := !sum + a);
+  let unwatched =
+    words_per_op (fun () -> Sim.Probe.emit p Obj_alloc ~cpu:0 ~a:1 ~b:2)
+  in
+  check_budget "Probe.emit (unwatched)" ~budget:0. unwatched;
+  let watched =
+    words_per_op (fun () -> Sim.Probe.emit p Obj_pool ~cpu:0 ~a:1 ~b:2)
+  in
+  check_budget "Probe.emit (watched)" ~budget:0. watched;
+  Alcotest.(check bool) "handler ran" true (!sum > 0)
+
 let setup () =
   let env = make_env ~cpus:2 ~total_pages:16384 () in
   let readers = Rcu.Readers.create env.rcu in
@@ -105,6 +121,7 @@ let suite =
     Alcotest.test_case "Cond ping-pong <= 4 words/wait" `Quick
       test_cond_ping_pong;
     Alcotest.test_case "reader section 0 words" `Quick test_reader_section;
+    Alcotest.test_case "Probe.emit 0 words" `Quick test_probe_emit;
     Alcotest.test_case "Rculist.lookup <= 2 words" `Quick test_rculist_lookup;
     Alcotest.test_case "Rcutree.lookup <= 2 words" `Quick test_rcutree_lookup;
   ]

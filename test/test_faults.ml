@@ -224,8 +224,7 @@ let test_stalled_reader_catches_unsafe_skip_gp () =
   let pr = Prudence.create ~config env.fenv env.rcu in
   let cache = Prudence.create_cache pr ~name:"t" ~obj_size:128 in
   let readers = Rcu.Readers.create env.rcu in
-  env.fenv.Slab.Frame.reuse_check <-
-    Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"chaos");
+  Rcu.Readers.watch_reuse readers;
   let plan =
     Faults.Plan.make ~seed:1
       [

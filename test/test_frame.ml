@@ -81,17 +81,27 @@ let test_flush_returns_objects () =
     (Sim.Dlist.length node.Frame.free_slabs);
   Frame.check_invariants cache
 
-let test_hand_to_user_runs_reuse_check () =
+(* The frame's object edges on the engine probe: one object's alloc,
+   defer and pool entry arrive in order, carrying its oid and, once
+   deferred, its token. *)
+let test_object_edge_sequence () =
   let env, cache = make_cache () in
   let c = cpu0 env in
-  let checked = ref [] in
-  env.fenv.Frame.reuse_check <- Some (fun oid -> checked := oid :: !checked);
   ignore (Frame.grow cache c);
   ignore (Frame.refill_from_node cache c ~want:1 ~select:Frame.select_slub);
   let pc = Frame.pcpu_for cache c in
   let obj = Option.get (Frame.pop_ocache pc) in
+  let seen = ref [] in
+  Sim.Probe.subscribe (Sim.Engine.probe env.eng)
+    [ Obj_alloc; Obj_free; Obj_defer; Obj_pool; Obj_page_release ]
+    (fun edge ~cpu:_ ~a ~b -> seen := (edge, a, b) :: !seen);
   Frame.hand_to_user cache c obj;
-  Alcotest.(check (list int)) "hook saw the oid" [ obj.Frame.oid ] !checked
+  Frame.stamp_deferred cache obj ~cookie:7;
+  Frame.push_ocache cache pc obj;
+  let oid = obj.Frame.oid in
+  Alcotest.(check bool) "alloc, defer (token), pool (token)" true
+    (List.rev !seen
+    = [ (Sim.Probe.Obj_alloc, oid, 0); (Obj_defer, oid, 7); (Obj_pool, oid, 7) ])
 
 let take_one env cache =
   let c = cpu0 env in
@@ -313,8 +323,7 @@ let suite =
     Alcotest.test_case "refill relocates" `Quick test_refill_and_relocate;
     Alcotest.test_case "refill to full" `Quick test_refill_exhausts_to_full;
     Alcotest.test_case "flush returns objects" `Quick test_flush_returns_objects;
-    Alcotest.test_case "reuse check hook" `Quick
-      test_hand_to_user_runs_reuse_check;
+    Alcotest.test_case "object edge sequence" `Quick test_object_edge_sequence;
     Alcotest.test_case "latent cache fifo/ripeness" `Quick
       test_latent_cache_fifo_ripeness;
     Alcotest.test_case "latent slab harvest" `Quick test_latent_slab_harvest;

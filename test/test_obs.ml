@@ -9,13 +9,18 @@ let small_params =
 
 (* Every backend reports the same five-phase schema: per phase, the
    sample count equals the reuse count (minus drops), and the clamped
-   edges make the phase sums add up exactly to the total. *)
-let test_anatomy_schema_all_backends () =
-  let results = Core.Anatomy.run small_params W.Chaos.Clean in
+   edges make the phase sums add up exactly to the total. Checked on
+   clean and on cb-flood, where RCU grace periods and the epoch
+   schemes' own detection run side by side. *)
+let check_schema scenario =
+  let results = Core.Anatomy.run small_params scenario in
   Alcotest.(check int) "four backends" 4 (List.length results);
   List.iter
     (fun (r : Core.Anatomy.result) ->
-      let label = W.Env.kind_label r.Core.Anatomy.kind in
+      let label =
+        W.Chaos.scenario_name scenario ^ "/"
+        ^ W.Env.kind_label r.Core.Anatomy.kind
+      in
       let obs = r.Core.Anatomy.obs in
       Alcotest.(check bool) (label ^ ": recorder armed") true
         (Obs.Anatomy.enabled obs);
@@ -39,6 +44,9 @@ let test_anatomy_schema_all_backends () =
   Alcotest.(check bool) "sum identity verdict" true
     (Core.Anatomy.sum_identity_ok results)
 
+let test_anatomy_schema_all_backends () =
+  List.iter check_schema [ W.Chaos.Clean; W.Chaos.Cb_flood ]
+
 (* The RCU-backed schemes must attribute QS collection to real grace
    periods: the worst completed GP names a holdout CPU. *)
 let test_worst_gp_names_holdout () =
@@ -56,6 +64,63 @@ let test_worst_gp_names_holdout () =
           Alcotest.(check bool) "complete after start" true
             (g.Obs.Anatomy.complete_ns >= g.Obs.Anatomy.start_ns))
     results
+
+(* Each scheme's worst grace period under cb-flood at the CI smoke's
+   scale: (cookie, start, complete, first-QS CPU, holdout CPU). RCU
+   grace periods run under every scheme here, so a recorder that took
+   them for its own scheme's detection would name a holdout (cpu 2) for
+   ebr-debra's worst epoch. *)
+let test_worst_gp_pinned () =
+  let expect =
+    [
+      ("slub", (1, 0, 1_750_000, 0, 3));
+      ("prudence", (1, 0, 1_750_000, 0, 3));
+      ("ebr-debra", (917, 70_441_935, 70_541_935, -1, -1));
+      ("hyaline", (457, 46_199_036, 46_199_036, -1, -1));
+    ]
+  in
+  let results =
+    Core.Anatomy.run { small_params with Core.Chaos.scale = 0.05 }
+      W.Chaos.Cb_flood
+  in
+  List.iter
+    (fun (r : Core.Anatomy.result) ->
+      let label = W.Env.kind_label r.Core.Anatomy.kind in
+      match Obs.Anatomy.worst_gp r.Core.Anatomy.obs with
+      | None -> Alcotest.failf "%s: no completed grace period" label
+      | Some g ->
+          let c, s, e, f, h = List.assoc label expect in
+          Alcotest.(check (list int)) (label ^ ": worst gp") [ c; s; e; f; h ]
+            Obs.Anatomy.
+              [ g.cookie; g.start_ns; g.complete_ns; g.first_qs_cpu;
+                g.holdout_cpu ])
+    results
+
+(* Detection edges are scoped to their scheme: an epoch recorder
+   subscribed without RCU ignores grace-period edges and takes its
+   holdouts from blocked epoch scans; with RCU, the grace-period edges
+   stamp the token. *)
+let test_scheme_scoped_subscription () =
+  let fed ~rcu edges =
+    let probe = Sim.Probe.create () in
+    let t = Obs.Anatomy.create ~scheme:"ebr-debra" ~now:(fun () -> 5) () in
+    Obs.Anatomy.subscribe t ~rcu probe;
+    List.iter
+      (fun (e, cpu, a, b) -> Sim.Probe.emit probe e ~cpu ~a ~b)
+      ((Sim.Probe.Obj_defer, -1, 1, 4) :: edges);
+    let r = Option.get (Obs.Anatomy.find_gp t 4) in
+    Obs.Anatomy.(r.first_qs_cpu, r.holdout_cpu)
+  in
+  let gp_edges = [ (Sim.Probe.Gp_start, -1, 4, 0); (Gp_qs, 2, 0, 0) ] in
+  Alcotest.(check (pair int int)) "epoch recorder ignores Gp_* edges"
+    (-1, -1)
+    (fed ~rcu:false ((Sim.Probe.Epoch_scan, -1, 0, 0) :: gp_edges));
+  Alcotest.(check (pair int int)) "Epoch_blocked names the holdout" (1, 1)
+    (fed ~rcu:false
+       (((Sim.Probe.Epoch_scan, -1, 0, 0) :: gp_edges)
+       @ [ (Epoch_blocked, 1, 0, 0) ]));
+  Alcotest.(check (pair int int)) "an RCU recorder stamps from Gp_* edges"
+    (2, 2) (fed ~rcu:true gp_edges)
 
 (* Pure observation: arming the recorder must not change any
    deterministic outcome of the run. *)
@@ -193,6 +258,10 @@ let suite =
       test_anatomy_schema_all_backends;
     Alcotest.test_case "anatomy: worst GP names its holdout CPU" `Slow
       test_worst_gp_names_holdout;
+    Alcotest.test_case "anatomy: cb-flood worst GP per scheme" `Slow
+      test_worst_gp_pinned;
+    Alcotest.test_case "anatomy: detection edges scoped to the scheme" `Quick
+      test_scheme_scoped_subscription;
     Alcotest.test_case "recorder off/on: identical deterministic counters"
       `Slow test_recorder_off_identical_counters;
     Alcotest.test_case "bundle: byte-identical across re-runs" `Slow

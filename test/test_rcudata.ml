@@ -11,8 +11,7 @@ type setup = {
 let make_setup ?(prudence = true) () =
   let env = make_env ~cpus:2 ~total_pages:16384 () in
   let readers = Rcu.Readers.create env.rcu in
-  env.fenv.Frame.reuse_check <-
-    Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"alloc");
+  Rcu.Readers.watch_reuse readers;
   let backend =
     if prudence then Prudence.backend (Prudence.create env.fenv env.rcu)
     else Slab.Slub.backend (Slab.Slub.create env.fenv env.rcu)

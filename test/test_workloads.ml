@@ -26,6 +26,17 @@ let test_kind_parsing () =
     (W.Env.kind_of_string "prudence" = Some W.Env.Prudence_alloc);
   Alcotest.(check bool) "junk" true (W.Env.kind_of_string "junk" = None)
 
+(* One meaning per --alloc value, whichever command reads it. *)
+let test_parse_kinds () =
+  let ok s = match W.Env.parse_kinds s with Ok k -> k | Error e -> failwith e in
+  Alcotest.(check bool) "both = slub + prudence" true
+    (ok "both" = [ W.Env.Baseline; W.Env.Prudence_alloc ]);
+  Alcotest.(check bool) "all = every kind" true (ok "all" = W.Env.all_kinds);
+  Alcotest.(check bool) "one name, one kind" true
+    (ok "ebr" = [ W.Env.Ebr_debra ]);
+  Alcotest.(check bool) "junk rejected" true
+    (Result.is_error (W.Env.parse_kinds "junk"))
+
 let micro_cfg =
   {
     W.Microbench.default_config with
@@ -206,6 +217,7 @@ let suite =
   [
     Alcotest.test_case "env build" `Quick test_env_build;
     Alcotest.test_case "kind parsing" `Quick test_kind_parsing;
+    Alcotest.test_case "--alloc parsing" `Quick test_parse_kinds;
     Alcotest.test_case "microbench completes (both)" `Quick
       test_microbench_completes_both;
     Alcotest.test_case "microbench deterministic" `Quick

@@ -62,11 +62,11 @@ let slab ~rcu (cache : Slab.Frame.cache) =
             incr n_slabs;
             in_flight_sum := !in_flight_sum + s.in_flight;
             slab_latent_sum := !slab_latent_sum + s.latent_n;
-            let free_rc = List.length s.free_objs
+            let free_room = Array.length s.free_objs
             and latent_rc = Slab.Latq.length s.latent_objs in
-            if free_rc <> s.free_n then
-              err errs "%s: slab %d freelist holds %d objects but free_n = %d"
-                name s.sid free_rc s.free_n;
+            if s.free_n < 0 || s.free_n > free_room then
+              err errs "%s: slab %d freelist has room for %d objects but free_n = %d"
+                name s.sid free_room s.free_n;
             if latent_rc <> s.latent_n then
               err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
                 name s.sid latent_rc s.latent_n;
@@ -78,15 +78,21 @@ let slab ~rcu (cache : Slab.Frame.cache) =
             if s.on_list <> tag then
               err errs "%s: slab %d tagged %a but found on the %a list" name s.sid
                 pp_list_id s.on_list pp_list_id tag;
-            List.iter
-              (fun (o : objekt) ->
-                if o.parent != s then
-                  err errs "%s: object %d on slab %d's freelist has a different \
-                       parent" name o.oid s.sid;
-                if o.ostate <> Free_in_slab then
-                  err errs "%s: object %d on slab %d's freelist is in state %a"
-                    name o.oid s.sid pp_ostate o.ostate)
-              s.free_objs;
+            let seen = Hashtbl.create 16 in
+            if s.free_n <= free_room then
+              iter_free_objs
+                (fun (o : objekt) ->
+                  if o.parent != s then
+                    err errs "%s: object %d on slab %d's freelist has a different \
+                         parent" name o.oid s.sid;
+                  if o.ostate <> Free_in_slab then
+                    err errs "%s: object %d on slab %d's freelist is in state %a"
+                      name o.oid s.sid pp_ostate o.ostate;
+                  if Hashtbl.mem seen o.oid then
+                    err errs "%s: object %d is on slab %d's freelist twice" name
+                      o.oid s.sid;
+                  Hashtbl.replace seen o.oid ())
+                s;
             Slab.Latq.iter
               (fun (o : objekt) ->
                 if o.ostate <> In_latent_slab then
@@ -106,18 +112,19 @@ let slab ~rcu (cache : Slab.Frame.cache) =
   let ocache_sum = ref 0 and latent_cache_sum = ref 0 in
   Array.iter
     (fun (pc : pcpu) ->
-      let rc = List.length pc.ocache in
-      if rc <> pc.ocache_n then
-        err errs "%s: cpu%d object cache holds %d objects but ocache_n = %d" name
-          pc.cpu.Sim.Machine.id rc pc.ocache_n;
+      let room = Array.length pc.ocache in
+      if pc.ocache_n < 0 || pc.ocache_n > room then
+        err errs "%s: cpu%d object cache has room for %d objects but ocache_n = %d"
+          name pc.cpu.Sim.Machine.id room pc.ocache_n;
       ocache_sum := !ocache_sum + pc.ocache_n;
       latent_cache_sum := !latent_cache_sum + Slab.Latq.Fifo.length pc.latent;
-      List.iter
-        (fun (o : objekt) ->
-          if o.ostate <> In_object_cache then
-            err errs "%s: object %d in cpu%d's object cache is in state %a" name
-              o.oid pc.cpu.Sim.Machine.id pp_ostate o.ostate)
-        pc.ocache;
+      if pc.ocache_n <= room then
+        iter_ocache
+          (fun (o : objekt) ->
+            if o.ostate <> In_object_cache then
+              err errs "%s: object %d in cpu%d's object cache is in state %a"
+                name o.oid pc.cpu.Sim.Machine.id pp_ostate o.ostate)
+          pc;
       Slab.Latq.Fifo.iter
         (fun (o : objekt) ->
           if o.ostate <> In_latent_cache then

@@ -37,6 +37,8 @@ type t = {
   mutable caches : Frame.cache list;
       (* Newest first (insertion order), the iteration order the old
          assoc list gave. *)
+  select : Frame.node -> Frame.slab option;
+      (* [select t], built once: refills pass it without a closure. *)
 }
 
 let env t = t.env
@@ -54,23 +56,29 @@ let latent_outstanding t =
   List.fold_left (fun acc c -> acc + Frame.latent_total c) 0 t.caches
 
 (* Harvest ripe latent objects from the slabs the selector is about to
-   examine, so their free counts reflect completed grace periods. *)
-let refresh_node_heads t cache node =
-  Prof.enter (Frame.prof cache) ~cpu:(-1) Prof.Span.Prudence_scan;
+   examine, so their free counts reflect completed grace periods. The
+   node's latent-slab list is ordered oldest-first, so the slabs most
+   likely to have ripe objects are at the front. A harvest that empties a
+   slab's latent list unlinks it, so the walk reads [next] first. *)
+let refresh_node_heads t node =
+  let prof = Sim.Machine.prof t.env.Frame.machine in
+  Prof.enter prof ~cpu:(-1) Prof.Span.Prudence_scan;
   let horizon = completed t in
-  let refresh slab =
-    if slab.Frame.latent_n > 0 then begin
-      if Frame.slab_harvest_ripe slab ~completed:horizon > 0 then
-        ignore (Frame.relocate cache slab)
-    end
-  in
-  (* The node's latent-slab list is ordered oldest-first, so the slabs most
-     likely to have ripe objects are at the front. *)
-  List.iter refresh (Sim.Dlist.first_n node.Frame.latent_slabs t.cfg.scan_depth);
-  Prof.exit (Frame.prof cache) Prof.Span.Prudence_scan
+  let c = ref (Sim.Dlist.first node.Frame.latent_slabs) in
+  let k = ref t.cfg.scan_depth in
+  while !k > 0 && not (Sim.Dlist.is_none !c) do
+    let slab = Sim.Dlist.value !c in
+    c := Sim.Dlist.next !c;
+    decr k;
+    if
+      slab.Frame.latent_n > 0
+      && Frame.slab_harvest_ripe slab ~completed:horizon > 0
+    then ignore (Frame.relocate slab.Frame.cache slab)
+  done;
+  Prof.exit prof Prof.Span.Prudence_scan
 
-let select t cache node =
-  refresh_node_heads t cache node;
+let select t node =
+  refresh_node_heads t node;
   Frame.select_prudence ~scan_depth:t.cfg.scan_depth node
 
 (* Algorithm 1 MERGE_CACHES (l.60-65): move grace-period-complete objects
@@ -82,11 +90,10 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
     if limit <= 0 then 0
     else
       Frame.latent_cache_merge_ripe cache pc ~completed:horizon ~limit
-        ~f:(fun obj -> Frame.push_ocache cache pc obj)
   in
   if moved > 0 then begin
     Stats.merge cache.Frame.stats ~n:moved;
-    Frame.trace_event cache pc.Frame.cpu ~arg:moved Trace.Event.Latent_merge;
+    Frame.trace_event_arg cache pc.Frame.cpu ~arg:moved Trace.Event.Latent_merge;
     charge pc.Frame.cpu
       (t.env.Frame.costs.Costs.merge
       + (moved * t.env.Frame.costs.Costs.merge_per_obj))
@@ -120,7 +127,6 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
       && Sim.Dlist.length node.Frame.free_slabs > Slab.Size_class.min_free_slabs
     then ignore (Frame.shrink_node cache pc.Frame.cpu node)
   end;
-  ignore pc;
   !cost
 
 (* Graceful degradation under Critical pressure: give back everything that
@@ -165,7 +171,7 @@ let emergency_reclaim t =
         cache.Frame.nodes;
       if !freed > 0 then begin
         Stats.emergency_flush cache.Frame.stats ~n:!freed;
-        Frame.trace_event cache cache.Frame.pcpus.(0).Frame.cpu ~arg:!freed
+        Frame.trace_event_arg cache cache.Frame.pcpus.(0).Frame.cpu ~arg:!freed
           Trace.Event.Emergency_flush
       end;
       total := !total + !freed)
@@ -185,62 +191,63 @@ let attach_pressure t pressure =
 (* Idle-time pre-flush (§4.2 "latent cache pre-flush"). Runs as idle work:
    costs are not charged to the workload, but lock holds still occupy the
    node lock. *)
+let excess (cache : Frame.cache) (pc : Frame.pcpu) =
+  pc.Frame.ocache_n + Latq.Fifo.length pc.Frame.latent - cache.Frame.ocache_cap
+
 let rec preflush_pass t (cache : Frame.cache) (pc : Frame.pcpu) =
   Frame.set_preflush_scheduled pc false;
-  let excess () =
-    pc.Frame.ocache_n + Latq.Fifo.length pc.Frame.latent
-    - cache.Frame.ocache_cap
-  in
   (* Merge ripe latent objects proactively while idle — §4.2: doing it here
      "avoids the merging of deferred objects ... during an allocation
      request" (the next allocations become plain hits). *)
   ignore (merge_caches t cache pc);
-  if excess () > 0 then begin
+  if excess cache pc > 0 then begin
     let aggressive = pc.Frame.recent_allocs < pc.Frame.recent_releases in
     let budget = if aggressive then max_int else t.cfg.preflush_chunk in
     let moved = ref 0 in
-    while excess () > 0 && !moved < budget do
-      match Frame.latent_cache_pop_newest cache pc with
-      | Some obj ->
-          ignore (demote_to_latent_slab t cache pc obj);
-          incr moved
-      | None ->
-          (* Only object-cache overflow remains; leave it to the flush
-             path. *)
-          ignore (Frame.flush_to_node cache pc.Frame.cpu
-                    ~count:(max 0 (excess ())));
-          ()
+    while excess cache pc > 0 && !moved < budget do
+      if Latq.Fifo.length pc.Frame.latent > 0 then begin
+        ignore
+          (demote_to_latent_slab t cache pc
+             (Frame.latent_cache_pop_newest cache pc));
+        incr moved
+      end
+      else
+        (* Only object-cache overflow remains; leave it to the flush
+           path. *)
+        Frame.flush_to_node cache pc.Frame.cpu ~count:(max 0 (excess cache pc))
     done;
     if !moved > 0 then begin
       Stats.preflush_pass cache.Frame.stats ~n:!moved;
-      Frame.trace_event cache pc.Frame.cpu ~arg:!moved Trace.Event.Preflush
+      Frame.trace_event_arg cache pc.Frame.cpu ~arg:!moved Trace.Event.Preflush
     end;
     (* If work remains and the CPU is still idle, continue in a later
        chunk; otherwise re-arm for the next idle window. *)
-    if excess () > 0 then schedule_preflush_delayed t cache pc
+    if excess cache pc > 0 then schedule_preflush_delayed t pc
   end
 
-and schedule_preflush_delayed t cache pc =
+(* The pass as queued work, one closure per CPU (see [create_cache]).
+   Idle work always finds the CPU idle; a delayed run may find that the
+   idle window has closed and then waits for the next one. *)
+and preflush_task t cache pc () =
+  if Sim.Machine.is_idle pc.Frame.cpu then preflush_pass t cache pc
+  else begin
+    Frame.set_preflush_scheduled pc false;
+    schedule_preflush t pc
+  end
+
+and schedule_preflush_delayed t (pc : Frame.pcpu) =
   if not pc.Frame.preflush_scheduled then begin
     Frame.set_preflush_scheduled pc true;
     ignore
       (Sim.Engine.schedule
          (Sim.Machine.engine t.env.Frame.machine)
-         ~after:t.cfg.preflush_interval_ns
-         (fun () ->
-           if Sim.Machine.is_idle pc.Frame.cpu then preflush_pass t cache pc
-           else begin
-             (* The idle window closed: wait for the next one. *)
-             Frame.set_preflush_scheduled pc false;
-             schedule_preflush t cache pc
-           end))
+         ~after:t.cfg.preflush_interval_ns pc.Frame.idle_task)
   end
 
-and schedule_preflush t cache (pc : Frame.pcpu) =
+and schedule_preflush t (pc : Frame.pcpu) =
   if t.cfg.preflush_enabled && not pc.Frame.preflush_scheduled then begin
     Frame.set_preflush_scheduled pc true;
-    Sim.Machine.submit_idle t.env.Frame.machine pc.Frame.cpu (fun () ->
-        preflush_pass t cache pc)
+    Sim.Machine.submit_idle t.env.Frame.machine pc.Frame.cpu pc.Frame.idle_task
   end
 
 (* Algorithm 1 MALLOC (l.1-12) + REFILL_OBJECT_CACHE (l.13-33). *)
@@ -264,82 +271,76 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
      after the merge is still served from the object cache (no node-list
      traffic), so it counts as a hit, as in Fig. 7. *)
   ignore (merge_caches t cache pc);
-  match Frame.pop_ocache pc with
-  | Some obj ->
-      Stats.hit cache.Frame.stats;
-      Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+  if pc.Frame.ocache_n > 0 then begin
+    let obj = Frame.pop_ocache_exn pc in
+    Stats.hit cache.Frame.stats;
+    Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+    Frame.hand_to_user cache cpu obj;
+    Some obj
+  end
+  else begin
+    Stats.miss cache.Frame.stats;
+    Frame.trace_event cache cpu Trace.Event.Alloc_miss;
+    (* l.13-25: partial refill, leaving room for the latent objects that
+       will merge after the grace period. The paper subtracts the whole
+       latent count; we subtract only the ripe prefix (the merge is
+       capacity-capped, and unripe objects cannot merge before the next
+       grace period, by which time the cache has drained again), which
+       keeps refills batched under a full latent cache. *)
+    let horizon = completed t in
+    let ripe = Latq.Fifo.ripe_count pc.Frame.latent ~completed:horizon in
+    let want = max 1 (min cache.Frame.batch (cache.Frame.ocache_cap - ripe)) in
+    if Frame.refill_from_node cache cpu ~want ~select:t.select = 0 then
+      ignore
+        (* l.29: add more slabs. *)
+        (match Frame.grow cache cpu with
+        | Some _slab -> Frame.refill_from_node cache cpu ~want ~select:t.select
+        | None ->
+            (* Cannot grow: relax the slab-selection filter (a mostly
+               deferred slab is better than failing). *)
+            Frame.refill_from_node cache cpu ~want ~select:Frame.select_slub);
+    if pc.Frame.ocache_n > 0 then begin
+      let obj = Frame.pop_ocache_exn pc in
       Frame.hand_to_user cache cpu obj;
       Some obj
-  | None -> (
-      Stats.miss cache.Frame.stats;
-      Frame.trace_event cache cpu Trace.Event.Alloc_miss;
-      (* l.13-25: partial refill, leaving room for the latent objects that
-         will merge after the grace period. The paper subtracts the whole
-         latent count; we subtract only the ripe prefix (the merge is
-         capacity-capped, and unripe objects cannot merge before the next
-         grace period, by which time the cache has drained again), which
-         keeps refills batched under a full latent cache. *)
-      let horizon = completed t in
-      let ripe = Latq.Fifo.ripe_count pc.Frame.latent ~completed:horizon in
-      let want =
-        max 1 (min cache.Frame.batch (cache.Frame.ocache_cap - ripe))
+    end
+    else begin
+      (* Degradation ladder: before suspending for a grace period,
+         emergency-flush whatever is already ripe and eagerly shrink, then
+         retry the refill — reclaim that needs no waiting. *)
+      let emergency =
+        if t.cfg.emergency_flush && emergency_reclaim t > 0 then begin
+          let got =
+            Frame.refill_from_node cache cpu ~want:1 ~select:Frame.select_slub
+          in
+          let got =
+            if got > 0 then got
+            else
+              match Frame.grow cache cpu with
+              | Some _ ->
+                  Frame.refill_from_node cache cpu ~want:1
+                    ~select:Frame.select_slub
+              | None -> 0
+          in
+          if got > 0 then Frame.pop_ocache pc else None
+        end
+        else None
       in
-      let got =
-        Frame.refill_from_node cache cpu ~want ~select:(select t cache)
-      in
-      let got =
-        if got > 0 then got
-        else
-          (* l.29: add more slabs. *)
-          match Frame.grow cache cpu with
-          | Some _slab ->
-              Frame.refill_from_node cache cpu ~want ~select:(select t cache)
-          | None ->
-              (* Cannot grow: relax the slab-selection filter (a mostly
-                 deferred slab is better than failing). *)
-              Frame.refill_from_node cache cpu ~want ~select:Frame.select_slub
-      in
-      match (got, Frame.pop_ocache pc) with
-      | _, Some obj ->
+      match emergency with
+      | Some obj ->
           Frame.hand_to_user cache cpu obj;
           Some obj
-      | _, None -> (
-          (* Degradation ladder: before suspending for a grace period,
-             emergency-flush whatever is already ripe and eagerly shrink,
-             then retry the refill — reclaim that needs no waiting. *)
-          let emergency =
-            if t.cfg.emergency_flush && emergency_reclaim t > 0 then begin
-              let got =
-                Frame.refill_from_node cache cpu ~want:1
-                  ~select:Frame.select_slub
-              in
-              let got =
-                if got > 0 then got
-                else
-                  match Frame.grow cache cpu with
-                  | Some _ ->
-                      Frame.refill_from_node cache cpu ~want:1
-                        ~select:Frame.select_slub
-                  | None -> 0
-              in
-              if got > 0 then Frame.pop_ocache pc else None
-            end
-            else None
-          in
-          match emergency with
-          | Some obj ->
-              Frame.hand_to_user cache cpu obj;
-              Some obj
-          | None ->
-              (* l.31-33: delay OOM if deferred objects will become free. *)
-              if may_wait && t.cfg.wait_on_oom && latent_outstanding t > 0
-              then begin
-                Stats.oom_delayed cache.Frame.stats;
-                t.smr.Smr.request ();
-                t.smr.Smr.wait ();
-                alloc_inner t ~may_wait:false cache cpu
-              end
-              else None))
+      | None ->
+          (* l.31-33: delay OOM if deferred objects will become free. *)
+          if may_wait && t.cfg.wait_on_oom && latent_outstanding t > 0 then begin
+            Stats.oom_delayed cache.Frame.stats;
+            t.smr.Smr.request ();
+            t.smr.Smr.wait ();
+            alloc_inner t ~may_wait:false cache cpu
+          end
+          else None
+    end
+  end
 
 (* May suspend mid-span on the wait-on-OOM path (Rcu.synchronize);
    Prof.exit's unwind semantics keep the span stack consistent. *)
@@ -380,7 +381,7 @@ let free_deferred t (cache : Frame.cache) cpu obj =
        ripe objects either way. *)
     Frame.obj_to_latent_cache cache pc obj;
     charge cpu costs.Costs.latent_put;
-    schedule_preflush t cache pc
+    schedule_preflush t pc
   end
   else begin
     (* l.45-51: flush the object cache, merge, retry; overflow goes to the
@@ -427,6 +428,9 @@ let create_cache t ~name ~obj_size =
         Frame.create_cache t.env ~name ~obj_size ~latent_aware:true
           ?latent_cap:t.cfg.latent_cap ()
       in
+      Array.iter
+        (fun pc -> Frame.set_idle_task pc (preflush_task t c pc))
+        c.Frame.pcpus;
       (* Hints about the future (§3.6): outstanding deferred objects plus
          the recent per-grace-period allocation volume are allocations
          waiting to happen, so keep that many objects' worth of free slabs
@@ -500,8 +504,16 @@ let backend t =
   }
 
 let create_smr ?(config = default_config) ?(label = "prudence") env smr =
-  let t =
-    { env; smr; label; cfg = config; by_name = Hashtbl.create 8; caches = [] }
+  let rec t =
+    {
+      env;
+      smr;
+      label;
+      cfg = config;
+      by_name = Hashtbl.create 8;
+      caches = [];
+      select = (fun node -> select t node);
+    }
   in
   smr.Smr.on_ripen (fun _frontier ->
       List.iter

@@ -1,60 +1,96 @@
-type 'a node = {
-  v : 'a;
-  mutable prev : 'a node option;
-  mutable next : 'a node option;
-  mutable owner : 'a t option;
-}
+(* Links are cells, not options: a neighbour is either [Nil] or the node
+   itself, so linking and unlinking write pointers and box nothing. *)
+type 'a cell =
+  | Nil
+  | Node of {
+      v : 'a;
+      mutable prev : 'a cell;
+      mutable next : 'a cell;
+      mutable owner : int;  (* [id] of the list holding the node; 0: none *)
+    }
 
-and 'a t = {
-  mutable head : 'a node option;
-  mutable tail : 'a node option;
+type 'a node = 'a cell
+
+type 'a t = {
+  id : int;
+  mutable head : 'a cell;
+  mutable tail : 'a cell;
   mutable size : int;
 }
 
-let create () = { head = None; tail = None; size = 0 }
+(* List identities only back the ownership check in [remove]. *)
+let next_id = Atomic.make 1
+
+let create () =
+  { id = Atomic.fetch_and_add next_id 1; head = Nil; tail = Nil; size = 0 }
 
 let length l = l.size
 let is_empty l = l.size = 0
-let value n = n.v
+let node v = Node { v; prev = Nil; next = Nil; owner = 0 }
+let none = Nil
+let is_none = function Nil -> true | Node _ -> false
+let value = function Node n -> n.v | Nil -> invalid_arg "Dlist.value: none"
+let linked = function Node n -> n.owner <> 0 | Nil -> false
+
+let link_front l c =
+  match c with
+  | Node n when n.owner = 0 ->
+      n.owner <- l.id;
+      n.next <- l.head;
+      (match l.head with Node h -> h.prev <- c | Nil -> l.tail <- c);
+      l.head <- c;
+      l.size <- l.size + 1
+  | _ -> invalid_arg "Dlist.link_front: node already linked"
+
+let link_back l c =
+  match c with
+  | Node n when n.owner = 0 ->
+      n.owner <- l.id;
+      n.prev <- l.tail;
+      (match l.tail with Node t -> t.next <- c | Nil -> l.head <- c);
+      l.tail <- c;
+      l.size <- l.size + 1
+  | _ -> invalid_arg "Dlist.link_back: node already linked"
 
 let push_front l v =
-  let n = { v; prev = None; next = l.head; owner = Some l } in
-  (match l.head with Some h -> h.prev <- Some n | None -> l.tail <- Some n);
-  l.head <- Some n;
-  l.size <- l.size + 1;
-  n
+  let c = node v in
+  link_front l c;
+  c
 
 let push_back l v =
-  let n = { v; prev = l.tail; next = None; owner = Some l } in
-  (match l.tail with Some t -> t.next <- Some n | None -> l.head <- Some n);
-  l.tail <- Some n;
-  l.size <- l.size + 1;
-  n
+  let c = node v in
+  link_back l c;
+  c
 
-let remove l n =
-  (match n.owner with
-  | Some o when o == l -> ()
-  | _ -> invalid_arg "Dlist.remove: node not on this list");
-  (match n.prev with Some p -> p.next <- n.next | None -> l.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> l.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None;
-  n.owner <- None;
-  l.size <- l.size - 1
+let remove l c =
+  match c with
+  | Node n when n.owner = l.id ->
+      (match n.prev with Node p -> p.next <- n.next | Nil -> l.head <- n.next);
+      (match n.next with Node s -> s.prev <- n.prev | Nil -> l.tail <- n.prev);
+      n.prev <- Nil;
+      n.next <- Nil;
+      n.owner <- 0;
+      l.size <- l.size - 1
+  | _ -> invalid_arg "Dlist.remove: node not on this list"
 
-let peek_front l = match l.head with None -> None | Some n -> Some n.v
+let first l = l.head
+let last l = l.tail
+let next = function Node n -> n.next | Nil -> Nil
+let prev = function Node n -> n.prev | Nil -> Nil
+
+let peek_front l = match l.head with Nil -> None | Node n -> Some n.v
 
 let pop_front l =
   match l.head with
-  | None -> None
-  | Some n ->
-      remove l n;
+  | Nil -> None
+  | Node n as c ->
+      remove l c;
       Some n.v
 
 let iter f l =
   let rec go = function
-    | None -> ()
-    | Some n ->
+    | Nil -> ()
+    | Node n ->
         let next = n.next in
         f n.v;
         go next
@@ -66,32 +102,8 @@ let fold f acc l =
   iter (fun v -> acc := f !acc v) l;
   !acc
 
-let first_n l n =
-  let rec go acc k = function
-    | Some node when k > 0 -> go (node.v :: acc) (k - 1) node.next
-    | _ -> List.rev acc
-  in
-  go [] n l.head
-
-let find_first ?depth p l =
-  let rec go k = function
-    | Some n when k > 0 -> if p n.v then Some n.v else go (k - 1) n.next
-    | _ -> None
-  in
-  go (match depth with Some d -> d | None -> max_int) l.head
-
-let fold_first_n l n f acc =
-  let rec go acc k = function
-    | Some node when k > 0 -> go (f acc node.v) (k - 1) node.next
-    | _ -> acc
-  in
-  go acc n l.head
-
 let exists p l =
-  let rec go = function
-    | None -> false
-    | Some n -> p n.v || go n.next
-  in
+  let rec go = function Nil -> false | Node n -> p n.v || go n.next in
   go l.head
 
 let to_list l = List.rev (fold (fun acc v -> v :: acc) [] l)

@@ -7,7 +7,8 @@ type cpu = {
   mutable stalled : bool;
   mutable ctx_switches : int;
   mutable suppressed_ticks : int;
-  mutable idle_work : (unit -> unit) list;
+  mutable idle_work : (unit -> unit) array;
+  mutable idle_n : int;
 }
 
 type t = {
@@ -35,7 +36,8 @@ let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
       stalled = false;
       ctx_switches = 0;
       suppressed_ticks = 0;
-      idle_work = [];
+      idle_work = [||];
+      idle_n = 0;
     }
   in
   {
@@ -92,13 +94,31 @@ let drain c =
   c.pending_ns <- 0;
   p
 
+let no_work () = ()
+
+(* Runs in submission order. Only called with [c.idle] set, so the work
+   cannot queue more behind itself: [submit_idle] runs it at once. *)
 let run_idle_work c =
-  let work = List.rev c.idle_work in
-  c.idle_work <- [];
-  List.iter (fun fn -> fn ()) work
+  let n = c.idle_n in
+  c.idle_n <- 0;
+  for i = 0 to n - 1 do
+    let fn = c.idle_work.(i) in
+    c.idle_work.(i) <- no_work;
+    fn ()
+  done
 
 let submit_idle _t c fn =
-  if c.idle then fn () else c.idle_work <- fn :: c.idle_work
+  if c.idle then fn ()
+  else begin
+    let cap = Array.length c.idle_work in
+    if c.idle_n = cap then begin
+      let a = Array.make (max 4 (2 * cap)) no_work in
+      Array.blit c.idle_work 0 a 0 cap;
+      c.idle_work <- a
+    end;
+    c.idle_work.(c.idle_n) <- fn;
+    c.idle_n <- c.idle_n + 1
+  end
 
 let is_idle c = c.idle
 

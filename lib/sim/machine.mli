@@ -29,8 +29,11 @@ type cpu = {
   mutable ctx_switches : int;  (** Context switches observed so far. *)
   mutable suppressed_ticks : int;
       (** Ticks swallowed while [stalled] was set (fault accounting). *)
-  mutable idle_work : (unit -> unit) list;
-      (** Pending one-shot idle work, in reverse submission order. *)
+  mutable idle_work : (unit -> unit) array;
+      (** Pending one-shot idle work: slots [0 .. idle_n-1], in submission
+          order. The array is reused, so queueing allocates nothing once
+          it has grown. *)
+  mutable idle_n : int;
 }
 
 type t

@@ -17,15 +17,17 @@ val create : name:string -> t
 
 val name : t -> string
 
-val acquire :
-  ?tracer:Trace.t -> ?cpu:int -> t -> now:int -> hold:int -> int
-(** [acquire l ~now ~hold] simulates acquiring [l] at time [now] and holding
-    it for [hold] ns. Returns the total delay (queueing wait + hold) the
-    caller experiences; 0 wait when uncontended.
+val acquire : tracer:Trace.t -> cpu:int -> t -> now:int -> hold:int -> int
+(** [acquire ~tracer ~cpu l ~now ~hold] simulates [cpu] acquiring [l] at
+    time [now] and holding it for [hold] ns. Returns the total delay
+    (queueing wait + hold) the caller experiences; 0 wait when
+    uncontended.
 
-    When a live [tracer] is passed, the acquisition emits a lock-acquire
-    event on [cpu] (and a lock-contended event plus a lock-wait histogram
-    sample if it had to wait), labelled with the lock's name. *)
+    When [tracer] is live, the acquisition emits a lock-acquire event on
+    [cpu] (and a lock-contended event plus a lock-wait histogram sample if
+    it had to wait), labelled with the lock's name. Pass {!Trace.null}
+    otherwise. The labels are not optional: an optional argument would
+    box its value on every acquisition. *)
 
 val acquisitions : t -> int
 (** Total number of acquisitions so far. *)

@@ -79,14 +79,20 @@ and slab = {
   cache : cache;
   block : Mem.Buddy.block;
   capacity : int;
-  mutable free_objs : objekt list;
+  mutable free_objs : objekt array;
+      (* Free stack: slots [0, free_n), top at [free_n - 1]. Slots above
+         hold stale entries; the array has [capacity] slots. *)
   mutable free_n : int;
-  latent_objs : objekt Latq.t;
+  mutable latent_objs : objekt Latq.t;
+      (* The cache's shared, always-empty [no_latent] until the slab first
+         holds a latent object; then its own, kept for reuse. *)
   mutable latent_n : int;
   mutable in_flight : int;
   mutable on_list : list_id;
-  mutable link : slab Sim.Dlist.node option;
-  mutable latent_link : slab Sim.Dlist.node option;
+  mutable link : slab Sim.Dlist.node;
+      (* Made once at grow; re-linked on every node-list move. *)
+  mutable latent_link : slab Sim.Dlist.node;
+      (* [Sim.Dlist.none] until the slab first holds a latent object. *)
 }
 
 and node = {
@@ -102,10 +108,13 @@ and node = {
 
 and pcpu = {
   cpu : Sim.Machine.cpu;
-  mutable ocache : objekt list;
+  mutable ocache : objekt array;
+      (* Stack: slots [0, ocache_n), top at [ocache_n - 1]; grows by
+         doubling, never shrinks. *)
   mutable ocache_n : int;
   latent : objekt Latq.Fifo.t;
   mutable preflush_scheduled : bool;
+  mutable idle_task : unit -> unit;
   mutable recent_allocs : int;
   mutable recent_releases : int;
 }
@@ -128,9 +137,16 @@ and cache = {
   mutable live_objs : int;
   mutable latent_count : int;
   mutable free_target : (unit -> int) option;
+  flush_nodes : int array;
+      (* Scratch for [flush_to_node]: ids of the nodes it has locked. *)
+  no_latent : objekt Latq.t;
+      (* Never pushed: stands in for the latent list of every slab that
+         has not held a latent object (all of them, under SLUB). *)
 }
 
 exception Slab_oom of string
+
+let no_task () = ()
 
 let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
   if obj_size <= 0 then invalid_arg "Frame.create_cache: obj_size";
@@ -153,10 +169,11 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
       (fun cpu ->
         {
           cpu;
-          ocache = [];
+          ocache = [||];
           ocache_n = 0;
           latent = Latq.Fifo.create ();
           preflush_scheduled = false;
+          idle_task = no_task;
           recent_allocs = 0;
           recent_releases = 0;
         })
@@ -180,6 +197,8 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
     live_objs = 0;
     latent_count = 0;
     free_target = None;
+    flush_nodes = Array.make (Array.length nodes) 0;
+    no_latent = Latq.create ();
   }
 
 let slab_bytes cache = Mem.Buddy.page_size cache.env.buddy lsl cache.order
@@ -228,14 +247,14 @@ let now cache = Sim.Engine.now (Sim.Machine.engine cache.env.machine)
 let tracer cache = Sim.Machine.tracer cache.env.machine
 let prof cache = Sim.Machine.prof cache.env.machine
 
-let trace_event cache (cpu : Sim.Machine.cpu) ?arg kind =
+let trace_event cache (cpu : Sim.Machine.cpu) kind =
   let tr = tracer cache in
   if Trace.enabled tr then
-    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name ?arg kind
+    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name kind
 
-(* Like [trace_event ~arg], but the option is only built once the tracer
-   is known to be live — the deferred-free path calls this per object, and
-   the [Some] box was measurable when tracing was off. *)
+(* [Trace.emit]'s optional [?arg] is only boxed once the tracer is known
+   to be live: refills, flushes and merges call this when tracing is off
+   too. *)
 let trace_event_arg cache (cpu : Sim.Machine.cpu) ~arg kind =
   let tr = tracer cache in
   if Trace.enabled tr then
@@ -268,37 +287,25 @@ let lock_pages cache (cpu : Sim.Machine.cpu) =
 let list_of cache ~node_id = cache.nodes.(node_id)
 
 let dlist_for node = function
-  | L_full -> Some node.full
-  | L_partial -> Some node.partial
-  | L_free -> Some node.free_slabs
-  | L_unlinked -> None
+  | L_full -> node.full
+  | L_partial -> node.partial
+  | L_free -> node.free_slabs
+  | L_unlinked -> invalid_arg "Frame.dlist_for: unlinked"
 
 let unlink cache slab =
-  match slab.link with
-  | None -> ()
-  | Some link -> (
-      let node = list_of cache ~node_id:slab.node_id in
-      match dlist_for node slab.on_list with
-      | Some dl ->
-          Sim.Dlist.remove dl link;
-          slab.link <- None;
-          slab.on_list <- L_unlinked
-      | None -> assert false)
+  if slab.on_list <> L_unlinked then begin
+    let node = list_of cache ~node_id:slab.node_id in
+    Sim.Dlist.remove (dlist_for node slab.on_list) slab.link;
+    slab.on_list <- L_unlinked
+  end
 
 let link cache slab target =
-  assert (slab.link = None);
-  let node = list_of cache ~node_id:slab.node_id in
-  (match dlist_for node target with
-  | Some dl ->
-      (* Selectors scan from the front: slabs with allocatable objects go
-         to the front, while pre-moved all-latent slabs (free only after
-         their grace period) queue at the back. *)
-      let ln =
-        if slab.free_n > 0 then Sim.Dlist.push_front dl slab
-        else Sim.Dlist.push_back dl slab
-      in
-      slab.link <- Some ln
-  | None -> assert false);
+  let dl = dlist_for (list_of cache ~node_id:slab.node_id) target in
+  (* Selectors scan from the front: slabs with allocatable objects go to
+     the front, while pre-moved all-latent slabs (free only after their
+     grace period) queue at the back. *)
+  if slab.free_n > 0 then Sim.Dlist.link_front dl slab.link
+  else Sim.Dlist.link_back dl slab.link;
   slab.on_list <- target
 
 let desired_list slab =
@@ -325,13 +332,11 @@ let relocate cache slab =
   end
 
 let take_free_obj slab =
-  match slab.free_objs with
-  | [] -> None
-  | obj :: rest ->
-      slab.free_objs <- rest;
-      slab.free_n <- slab.free_n - 1;
-      slab.in_flight <- slab.in_flight + 1;
-      Some obj
+  if slab.free_n = 0 then invalid_arg "Frame.take_free_obj: no free object";
+  let n = slab.free_n - 1 in
+  slab.free_n <- n;
+  slab.in_flight <- slab.in_flight + 1;
+  slab.free_objs.(n)
 
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
@@ -343,32 +348,40 @@ let put_free_obj slab obj =
   assert (obj.parent == slab);
   probe_pool slab.cache.env obj;
   obj.ostate <- Free_in_slab;
-  slab.free_objs <- obj :: slab.free_objs;
+  slab.free_objs.(slab.free_n) <- obj;
   slab.free_n <- slab.free_n + 1;
   slab.in_flight <- slab.in_flight - 1
+
+let iter_free_objs f slab =
+  for i = 0 to slab.free_n - 1 do
+    f slab.free_objs.(i)
+  done
 
 let push_ocache cache pc obj =
   probe_pool cache.env obj;
   obj.ostate <- In_object_cache;
-  pc.ocache <- obj :: pc.ocache;
+  let cap = Array.length pc.ocache in
+  if pc.ocache_n = cap then begin
+    let a = Array.make (max 16 (2 * cap)) obj in
+    Array.blit pc.ocache 0 a 0 cap;
+    pc.ocache <- a
+  end;
+  pc.ocache.(pc.ocache_n) <- obj;
   pc.ocache_n <- pc.ocache_n + 1
-
-let pop_ocache pc =
-  match pc.ocache with
-  | [] -> None
-  | obj :: rest ->
-      pc.ocache <- rest;
-      pc.ocache_n <- pc.ocache_n - 1;
-      Some obj
 
 (* Allocation-free fast path: callers check [pc.ocache_n > 0] first. *)
 let pop_ocache_exn pc =
-  match pc.ocache with
-  | [] -> invalid_arg "Frame.pop_ocache_exn: empty object cache"
-  | obj :: rest ->
-      pc.ocache <- rest;
-      pc.ocache_n <- pc.ocache_n - 1;
-      obj
+  if pc.ocache_n = 0 then invalid_arg "Frame.pop_ocache_exn: empty object cache";
+  let n = pc.ocache_n - 1 in
+  pc.ocache_n <- n;
+  pc.ocache.(n)
+
+let pop_ocache pc = if pc.ocache_n = 0 then None else Some (pop_ocache_exn pc)
+
+let iter_ocache f pc =
+  for i = 0 to pc.ocache_n - 1 do
+    f pc.ocache.(i)
+  done
 
 (* ceil(log2(used/llc)), capped: how many times the resident footprint has
    doubled past the last-level cache. *)
@@ -442,12 +455,17 @@ let obj_to_latent_slab cache obj =
   let slab = obj.parent in
   obj.ostate <- In_latent_slab;
   cache.latent_count <- cache.latent_count + 1;
+  if slab.latent_objs == cache.no_latent then
+    slab.latent_objs <- Latq.create ();
   Latq.push slab.latent_objs ~cookie:obj.gp_cookie obj;
   slab.latent_n <- slab.latent_n + 1;
   slab.in_flight <- slab.in_flight - 1;
-  (if slab.latent_link = None then
-     let node = cache.nodes.(slab.node_id) in
-     slab.latent_link <- Some (Sim.Dlist.push_back node.latent_slabs slab));
+  if not (Sim.Dlist.linked slab.latent_link) then begin
+    if Sim.Dlist.is_none slab.latent_link then
+      slab.latent_link <- Sim.Dlist.node slab;
+    Sim.Dlist.link_back cache.nodes.(slab.node_id).latent_slabs
+      slab.latent_link
+  end;
   Prof.exit (prof cache) Prof.Span.Latq_push
 
 let latent_cache_pop_ripe cache pc ~completed =
@@ -457,40 +475,42 @@ let latent_cache_pop_ripe cache pc ~completed =
       Some obj
   | None -> None
 
-let latent_cache_merge_ripe cache pc ~completed ~limit ~f =
+let merge_into_ocache pc obj = push_ocache obj.parent.cache pc obj
+
+let latent_cache_merge_ripe cache pc ~completed ~limit =
   Prof.enter (prof cache) ~cpu:pc.cpu.Sim.Machine.id Prof.Span.Latq_harvest;
-  let n = Latq.Fifo.merge_ripe pc.latent ~completed ~limit ~f in
+  let n =
+    Latq.Fifo.merge_ripe pc.latent ~completed ~limit ~f:merge_into_ocache pc
+  in
   cache.latent_count <- cache.latent_count - n;
   Prof.exit (prof cache) Prof.Span.Latq_harvest;
   n
 
 let latent_cache_pop_newest cache pc =
-  match Latq.Fifo.pop_back pc.latent with
-  | Some obj ->
-      cache.latent_count <- cache.latent_count - 1;
-      Some obj
-  | None -> None
+  let obj = Latq.Fifo.pop_back_exn pc.latent in
+  cache.latent_count <- cache.latent_count - 1;
+  obj
+
+let unlink_latent slab =
+  if Sim.Dlist.linked slab.latent_link then
+    Sim.Dlist.remove slab.cache.nodes.(slab.node_id).latent_slabs
+      slab.latent_link
+
+(* latent -> free stays inside the slab: in_flight is unchanged, but
+   put_free_obj decrements it, so pre-compensate. *)
+let unlatent o =
+  let slab = o.parent in
+  slab.in_flight <- slab.in_flight + 1;
+  put_free_obj slab o
 
 let slab_harvest_ripe slab ~completed =
   Prof.enter (prof slab.cache) ~cpu:(-1) Prof.Span.Latq_harvest;
-  let n =
-    Latq.harvest slab.latent_objs ~completed ~f:(fun o ->
-        (* latent -> free stays inside the slab: in_flight is unchanged,
-           but put_free_obj decrements it, so pre-compensate. *)
-        slab.in_flight <- slab.in_flight + 1;
-        put_free_obj slab o)
-  in
-  (if n > 0 then begin
-     slab.latent_n <- slab.latent_n - n;
-     slab.cache.latent_count <- slab.cache.latent_count - n;
-     if slab.latent_n = 0 then
-       match slab.latent_link with
-       | Some link ->
-           let node = slab.cache.nodes.(slab.node_id) in
-           Sim.Dlist.remove node.latent_slabs link;
-           slab.latent_link <- None
-       | None -> ()
-   end);
+  let n = Latq.harvest slab.latent_objs ~completed ~f:unlatent in
+  if n > 0 then begin
+    slab.latent_n <- slab.latent_n - n;
+    slab.cache.latent_count <- slab.cache.latent_count - n;
+    if slab.latent_n = 0 then unlink_latent slab
+  end;
   Prof.exit (prof slab.cache) Prof.Span.Latq_harvest;
   n
 
@@ -522,7 +542,7 @@ let rec grow_attempt cache (cpu : Sim.Machine.cpu) ~tries ~backoff =
         when tries < p.max_retries
              && Mem.Buddy.would_satisfy cache.env.buddy ~order:cache.order ->
           Slab_stats.grow_retry cache.stats;
-          trace_event cache cpu ~arg:(tries + 1) Trace.Event.Grow_retry;
+          trace_event_arg cache cpu ~arg:(tries + 1) Trace.Event.Grow_retry;
           Sim.Process.sleep (Sim.Machine.engine cache.env.machine) backoff;
           grow_attempt cache cpu ~tries:(tries + 1) ~backoff:(2 * backoff)
       | _ -> None)
@@ -551,17 +571,17 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
           cache;
           block;
           capacity = cache.objs_per_slab;
-          free_objs = [];
+          free_objs = [||];
           free_n = cache.objs_per_slab;
-          latent_objs = Latq.create ();
+          latent_objs = cache.no_latent;
           latent_n = 0;
           in_flight = 0;
           on_list = L_unlinked;
-          link = None;
-          latent_link = None;
+          link = Sim.Dlist.none;
+          latent_link = Sim.Dlist.none;
         }
       in
-      let mk _ =
+      let mk () =
         let oid = env.next_oid in
         env.next_oid <- env.next_oid + 1;
         {
@@ -573,12 +593,20 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
           deferred_at = -1;
         }
       in
-      slab.free_objs <- List.init cache.objs_per_slab mk;
+      (* Objects come off the stack in oid order: the first made is on
+         top. *)
+      let n = cache.objs_per_slab in
+      let stack = Array.make n (mk ()) in
+      for i = n - 2 downto 0 do
+        stack.(i) <- mk ()
+      done;
+      slab.free_objs <- stack;
+      slab.link <- Sim.Dlist.node slab;
       link cache slab L_free;
       cache.total_slabs <- cache.total_slabs + 1;
       Slab_stats.set_current_slabs cache.stats cache.total_slabs;
       Slab_stats.grow cache.stats;
-      trace_event cache cpu ~arg:cache.total_slabs Trace.Event.Grow;
+      trace_event_arg cache cpu ~arg:cache.total_slabs Trace.Event.Grow;
       Sim.Machine.consume cpu env.costs.grow;
       lock_pages cache cpu;
       poll_pressure cache;
@@ -614,11 +642,7 @@ let destroy_slab cache slab =
   if slab.latent_n > 0 then begin
     cache.latent_count <- cache.latent_count - slab.latent_n;
     slab.latent_n <- 0;
-    (match slab.latent_link with
-    | Some link ->
-        Sim.Dlist.remove cache.nodes.(slab.node_id).latent_slabs link;
-        slab.latent_link <- None
-    | None -> ())
+    unlink_latent slab
   end;
   unlink cache slab;
   Mem.Buddy.free cache.env.buddy slab.block;
@@ -632,38 +656,30 @@ let destroy_slab cache slab =
 let max_shrink_per_call = 4
 
 let shrink_node ?keep cache (cpu : Sim.Machine.cpu) node =
-  let destroyed = ref 0 in
   let keep = match keep with Some k -> k | None -> keep_free_target cache in
-  let excess () =
-    min (Sim.Dlist.length node.free_slabs - keep) (max_shrink_per_call - !destroyed)
-  in
-  if excess () > 0 then begin
-    (* Collect candidates first: pre-moved (not yet reclaimable) slabs on
-       the free list are skipped. *)
-    let candidates = ref [] in
-    Sim.Dlist.iter
-      (fun s ->
-        if
-          truly_free s
-          || (cache.env.unsafe_destroy_latent && s.in_flight = 0
-             && s.latent_n > 0)
-        then candidates := s :: !candidates)
-      node.free_slabs;
-    let rec destroy = function
-      | [] -> ()
-      | s :: rest when excess () > 0 ->
-          destroy_slab cache s;
-          Sim.Machine.consume cpu cache.env.costs.shrink;
-          lock_pages cache cpu;
-          incr destroyed;
-          destroy rest
-      | _ -> ()
-    in
-    (* Oldest (closest to the back) first. *)
-    destroy !candidates
-  end;
+  let destroyed = ref 0 in
+  (* Oldest (closest to the back) first; pre-moved (not yet reclaimable)
+     slabs on the free list are skipped. *)
+  let c = ref (Sim.Dlist.last node.free_slabs) in
+  while
+    (not (Sim.Dlist.is_none !c))
+    && Sim.Dlist.length node.free_slabs > keep
+    && !destroyed < max_shrink_per_call
+  do
+    let s = Sim.Dlist.value !c in
+    c := Sim.Dlist.prev !c;
+    if
+      truly_free s
+      || (cache.env.unsafe_destroy_latent && s.in_flight = 0 && s.latent_n > 0)
+    then begin
+      destroy_slab cache s;
+      Sim.Machine.consume cpu cache.env.costs.shrink;
+      lock_pages cache cpu;
+      incr destroyed
+    end
+  done;
   if !destroyed > 0 then
-    trace_event cache cpu ~arg:!destroyed Trace.Event.Shrink;
+    trace_event_arg cache cpu ~arg:!destroyed Trace.Event.Shrink;
   !destroyed
 
 let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
@@ -679,23 +695,17 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
       | None -> continue := false
       | Some slab ->
           let before = !moved in
-          let rec take () =
-            if !moved < want then
-              match take_free_obj slab with
-              | Some obj ->
-                  push_ocache cache pc obj;
-                  incr moved;
-                  take ()
-              | None -> ()
-          in
-          take ();
+          while !moved < want && slab.free_n > 0 do
+            push_ocache cache pc (take_free_obj slab);
+            incr moved
+          done;
           ignore (relocate cache slab);
           (* A selector returning a slab with no free objects would loop. *)
           if !moved = before then continue := false
     done;
     if !moved > 0 then begin
       Slab_stats.refill cache.stats;
-      trace_event cache cpu ~arg:!moved Trace.Event.Refill;
+      trace_event_arg cache cpu ~arg:!moved Trace.Event.Refill;
       Sim.Machine.consume cpu
         (cache.env.costs.refill + (!moved * cache.env.costs.refill_per_obj))
     end;
@@ -703,72 +713,81 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
   end
 
 let flush_to_node cache (cpu : Sim.Machine.cpu) ~count =
-  if count > 0 then begin
-    let pc = pcpu_for cache cpu in
-    let touched_nodes = ref [] in
-    let rec pop n acc got =
-      if n = 0 then (acc, got)
-      else
-        match pop_ocache pc with
-        | None -> (acc, got)
-        | Some o -> pop (n - 1) (o :: acc) (got + 1)
-    in
-    let objs, moved = pop count [] 0 in
-    match objs with
-    | [] -> ()
-    | _ ->
-        (* Group the lock acquisitions: one per touched node. *)
-        List.iter
-          (fun obj ->
-            let node = list_of cache ~node_id:obj.parent.node_id in
-            if not (List.memq node !touched_nodes) then begin
-              touched_nodes := node :: !touched_nodes;
-              lock_node cache cpu node
-            end;
-            put_free_obj obj.parent obj;
-            ignore (relocate cache obj.parent))
-          objs;
-        Slab_stats.flush cache.stats;
-        trace_event cache cpu ~arg:moved Trace.Event.Flush;
-        Sim.Machine.consume cpu
-          (cache.env.costs.flush + (moved * cache.env.costs.flush_per_obj));
-        List.iter (fun node -> ignore (shrink_node cache cpu node)) !touched_nodes
+  let pc = pcpu_for cache cpu in
+  let moved = min count pc.ocache_n in
+  if moved > 0 then begin
+    (* Pop the top [moved] objects, then return them deepest first. *)
+    let top = pc.ocache_n in
+    pc.ocache_n <- top - moved;
+    (* Group the lock acquisitions: one per touched node, in first-touch
+       order. *)
+    let touched = cache.flush_nodes in
+    let nt = ref 0 in
+    for i = top - moved to top - 1 do
+      let obj = pc.ocache.(i) in
+      let nid = obj.parent.node_id in
+      let j = ref 0 in
+      while !j < !nt && touched.(!j) <> nid do
+        incr j
+      done;
+      if !j = !nt then begin
+        touched.(!nt) <- nid;
+        incr nt;
+        lock_node cache cpu cache.nodes.(nid)
+      end;
+      put_free_obj obj.parent obj;
+      ignore (relocate cache obj.parent)
+    done;
+    Slab_stats.flush cache.stats;
+    trace_event_arg cache cpu ~arg:moved Trace.Event.Flush;
+    Sim.Machine.consume cpu
+      (cache.env.costs.flush + (moved * cache.env.costs.flush_per_obj));
+    for j = !nt - 1 downto 0 do
+      ignore (shrink_node cache cpu cache.nodes.(touched.(j)))
+    done
   end
 
-let first_with_free ?(depth = 16) dl =
-  Sim.Dlist.find_first ~depth (fun s -> s.free_n > 0) dl
+(* The first slab with a free object among [depth] from cursor [c]. *)
+let rec first_free c depth =
+  if depth = 0 || Sim.Dlist.is_none c then None
+  else
+    let s = Sim.Dlist.value c in
+    if s.free_n > 0 then Some s else first_free (Sim.Dlist.next c) (depth - 1)
 
 let select_slub node =
   (* SLUB picks the first partial slab; with latent awareness, pre-moved
      slabs may have no free objects yet, so scan a few entries. *)
-  match first_with_free node.partial with
-  | Some s -> Some s
-  | None -> first_with_free node.free_slabs
+  match first_free (Sim.Dlist.first node.partial) 16 with
+  | Some _ as r -> r
+  | None -> first_free (Sim.Dlist.first node.free_slabs) 16
 
 let mostly_deferred slab =
   let allocated = slab.capacity - slab.free_n in
   allocated > 0 && 2 * slab.latent_n > allocated
 
+(* Fewer latent objects first (do not steal from slabs that are on their
+   way to being entirely free), then denser refills. *)
+let better a b =
+  if a.latent_n <> b.latent_n then a.latent_n < b.latent_n
+  else a.free_n > b.free_n
+
 let select_prudence ~scan_depth node =
-  let better a b =
-    (* Fewer latent objects first (do not steal from slabs that are on
-       their way to being entirely free), then denser refills. *)
-    if a.latent_n <> b.latent_n then a.latent_n < b.latent_n
-    else a.free_n > b.free_n
-  in
-  let best =
-    Sim.Dlist.fold_first_n node.partial scan_depth
-      (fun acc s ->
-        if s.free_n > 0 && not (mostly_deferred s) then
-          match acc with
-          | None -> Some s
-          | Some cur -> if better s cur then Some s else acc
-        else acc)
-      None
-  in
-  match best with
-  | Some s -> Some s
-  | None -> first_with_free ~depth:scan_depth node.free_slabs
+  let best = ref Sim.Dlist.none in
+  let c = ref (Sim.Dlist.first node.partial) in
+  let k = ref scan_depth in
+  while !k > 0 && not (Sim.Dlist.is_none !c) do
+    let s = Sim.Dlist.value !c in
+    if
+      s.free_n > 0
+      && (not (mostly_deferred s))
+      && (Sim.Dlist.is_none !best || better s (Sim.Dlist.value !best))
+    then best := !c;
+    c := Sim.Dlist.next !c;
+    decr k
+  done;
+  if Sim.Dlist.is_none !best then
+    first_free (Sim.Dlist.first node.free_slabs) scan_depth
+  else Some (Sim.Dlist.value !best)
 
 (* The O(objects) sweep below only runs with [env.debug_checks] set: the
    default for tests and check sweeps, off for the wall-clock benchmark
@@ -783,13 +802,17 @@ let check_invariants cache =
             (fun slab ->
               incr seen_slabs;
               assert (slab.on_list = list_id);
-              assert (slab.free_n = List.length slab.free_objs);
+              assert (slab.free_n <= Array.length slab.free_objs);
               assert (slab.latent_n = Latq.length slab.latent_objs);
               assert (
                 slab.free_n + slab.latent_n + slab.in_flight = slab.capacity);
               assert (
                 slab.free_n >= 0 && slab.latent_n >= 0 && slab.in_flight >= 0);
-              List.iter (fun o -> assert (o.ostate = Free_in_slab)) slab.free_objs;
+              iter_free_objs
+                (fun o ->
+                  assert (o.parent == slab);
+                  assert (o.ostate = Free_in_slab))
+                slab;
               Latq.iter
                 (fun o -> assert (o.ostate = In_latent_slab))
                 slab.latent_objs;
@@ -802,15 +825,15 @@ let check_invariants cache =
         Sim.Dlist.iter
           (fun slab ->
             assert (slab.latent_n > 0);
-            assert (slab.latent_link <> None))
+            assert (Sim.Dlist.linked slab.latent_link))
           node.latent_slabs)
       cache.nodes;
     assert (!seen_slabs = cache.total_slabs);
     assert (cache.latent_count = latent_total_slow cache);
     Array.iter
       (fun pc ->
-        assert (pc.ocache_n = List.length pc.ocache);
-        List.iter (fun o -> assert (o.ostate = In_object_cache)) pc.ocache;
+        assert (pc.ocache_n <= Array.length pc.ocache);
+        iter_ocache (fun o -> assert (o.ostate = In_object_cache)) pc;
         Latq.Fifo.iter
           (fun o -> assert (o.ostate = In_latent_cache))
           pc.latent)
@@ -823,6 +846,7 @@ let pp_cache fmt cache =
     cache.total_slabs cache.live_objs (latent_total cache)
 
 let set_preflush_scheduled pc v = pc.preflush_scheduled <- v
+let set_idle_task pc fn = pc.idle_task <- fn
 let note_alloc pc = pc.recent_allocs <- pc.recent_allocs + 1
 let note_release pc = pc.recent_releases <- pc.recent_releases + 1
 

@@ -100,18 +100,27 @@ and slab = private {
   cache : cache;
   block : Mem.Buddy.block;
   capacity : int;
-  mutable free_objs : objekt list;
+  mutable free_objs : objekt array;
+      (** Free stack: slots [0 .. free_n-1] hold the free objects, the
+          top (next handed out) at [free_n - 1]; slots above are stale.
+          A fresh slab hands out its objects in oid order. Walk it with
+          {!iter_free_objs}. *)
   mutable free_n : int;
-  latent_objs : objekt Latq.t;
+  mutable latent_objs : objekt Latq.t;
       (** Deferred objects parked on this slab, bucketed by grace-period
-          cookie so harvests cost O(ripe). *)
+          cookie so harvests cost O(ripe). The cache's empty [no_latent]
+          until the slab first holds one, so slabs that never do (all of
+          them under SLUB) carry no queue of their own. *)
   mutable latent_n : int;
   mutable in_flight : int;
       (** Objects in object caches, latent caches, or held by mutators. *)
   mutable on_list : list_id;
-  mutable link : slab Sim.Dlist.node option;
-  mutable latent_link : slab Sim.Dlist.node option;
-      (** Membership handle on the node's latent-slab list. *)
+  mutable link : slab Sim.Dlist.node;
+      (** Handle on the node list [on_list] names, made once at {!grow}
+          and re-linked on every move, so moves allocate nothing. *)
+  mutable latent_link : slab Sim.Dlist.node;
+      (** Handle on the node's latent-slab list, linked while
+          [latent_n > 0]; {!Sim.Dlist.none} until first needed. *)
 }
 
 and node = private {
@@ -127,12 +136,20 @@ and node = private {
 
 and pcpu = private {
   cpu : Sim.Machine.cpu;
-  mutable ocache : objekt list;
+  mutable ocache : objekt array;
+      (** Object cache, a LIFO stack: slots [0 .. ocache_n-1], top at
+          [ocache_n - 1]; slots above are stale. Grows by doubling and is
+          reused, so pushes and pops allocate nothing. Walk it with
+          {!iter_ocache}. *)
   mutable ocache_n : int;
   latent : objekt Latq.Fifo.t;
       (** Prudence's latent cache: one deque plus a run-length cookie
           index for O(distinct-cookies) ripeness queries. *)
   mutable preflush_scheduled : bool;
+  mutable idle_task : unit -> unit;
+      (** The policy's idle-time work for this CPU (Prudence's
+          pre-flush), built once so scheduling it allocates nothing. A
+          no-op until {!set_idle_task}. *)
   mutable recent_allocs : int;  (** Since the last grace period (rates). *)
   mutable recent_releases : int;
 }
@@ -160,6 +177,10 @@ and cache = private {
       (** Policy estimate of how many free slabs a node should keep before
           shrinking (Prudence derives it from latent objects + recent
           allocation rate — a "hint about the future"). *)
+  flush_nodes : int array;
+      (** Scratch for {!flush_to_node}: the nodes it has locked. *)
+  no_latent : objekt Latq.t;
+      (** Always empty; see [latent_objs]. *)
 }
 
 exception Slab_oom of string
@@ -211,8 +232,7 @@ val prof : cache -> Prof.t
     frame opens [slab.grow] / [slab.latq_push] / [slab.latq_harvest]
     spans; backends open the alloc/free/defer spans. *)
 
-val trace_event :
-  cache -> Sim.Machine.cpu -> ?arg:int -> Trace.Event.kind -> unit
+val trace_event : cache -> Sim.Machine.cpu -> Trace.Event.kind -> unit
 (** Emit an event labelled with the cache name at the current virtual time
     on [cpu]; no-op when tracing is off. The frame itself emits refill,
     flush, grow, shrink, lock and OOM events; allocator policies emit
@@ -220,8 +240,9 @@ val trace_event :
 
 val trace_event_arg :
   cache -> Sim.Machine.cpu -> arg:int -> Trace.Event.kind -> unit
-(** [trace_event ~arg] for per-object hot paths: defers boxing the
-    argument until the tracer is known to be live. *)
+(** {!trace_event} with an argument. The argument is not optional: it is
+    boxed for {!Trace.emit} only once the tracer is known to be live, so
+    hot paths pay nothing when tracing is off. *)
 
 val truly_free : slab -> bool
 (** All objects back on the freelist: the slab's pages may be returned. *)
@@ -244,12 +265,18 @@ val relocate : cache -> slab -> bool
 
 (** {1 Object movement} *)
 
-val take_free_obj : slab -> objekt option
+val take_free_obj : slab -> objekt
 (** Pop one object from the slab freelist; caller must set its state and
-    relocate the slab. *)
+    relocate the slab. Raises [Invalid_argument] when [free_n = 0]. *)
+
+val iter_free_objs : (objekt -> unit) -> slab -> unit
+(** The slab's free objects, bottom of the stack first. *)
 
 val push_ocache : cache -> pcpu -> objekt -> unit
 val pop_ocache : pcpu -> objekt option
+
+val iter_ocache : (objekt -> unit) -> pcpu -> unit
+(** The object cache, bottom of the stack first. *)
 
 val pop_ocache_exn : pcpu -> objekt
 (** Allocation-free {!pop_ocache}; raises [Invalid_argument] when the
@@ -274,13 +301,14 @@ val latent_cache_pop_ripe : cache -> pcpu -> completed:int -> objekt option
 (** Pop the oldest latent-cache object if its grace period completed. *)
 
 val latent_cache_merge_ripe :
-  cache -> pcpu -> completed:int -> limit:int -> f:(objekt -> unit) -> int
-(** Batch form of {!latent_cache_pop_ripe}: pop up to [limit] ripe
-    objects oldest-first, apply [f] to each, return the count.
-    Allocation-free (the merge hot path). *)
+  cache -> pcpu -> completed:int -> limit:int -> int
+(** Algorithm 1's merge: move up to [limit] ripe latent-cache objects,
+    oldest first, onto the object cache ({!push_ocache}); return the
+    count. Allocation-free (the merge hot path). *)
 
-val latent_cache_pop_newest : cache -> pcpu -> objekt option
-(** Pop the newest latent-cache object (pre-flush eviction order). *)
+val latent_cache_pop_newest : cache -> pcpu -> objekt
+(** Pop the newest latent-cache object (pre-flush eviction order).
+    Raises [Invalid_argument] when the latent cache is empty. *)
 
 val slab_harvest_ripe : slab -> completed:int -> int
 (** Move every ripe latent object of [slab] back to its freelist; returns
@@ -357,6 +385,10 @@ val pp_cache : Format.formatter -> cache -> unit
     these. *)
 
 val set_preflush_scheduled : pcpu -> bool -> unit
+
+val set_idle_task : pcpu -> (unit -> unit) -> unit
+(** Install the policy's per-CPU idle task (see [idle_task]). *)
+
 val note_alloc : pcpu -> unit
 (** Bump the per-CPU allocation-rate counter (pre-flush policy input). *)
 

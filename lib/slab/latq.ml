@@ -25,37 +25,35 @@
 
 (* A bucket's payload lives in a pair of parallel arrays in insertion
    (ascending-sequence) order: no per-element box, and the newest-first
-   harvest is a backwards scan / array-indexed merge. *)
+   harvest is a backwards scan / array-indexed merge. Buckets are
+   recycled: an emptied one keeps its arrays and waits for the next new
+   cookie, so steady-state pushes and harvests allocate nothing. *)
 type 'a bucket = {
-  cookie : int;
+  mutable cookie : int;
   mutable vals : 'a array;  (* insertion order; capacity doubles *)
   mutable seqs : int array;  (* parallel: global insertion sequence *)
   mutable bn : int;
-  mutable next : 'a bucket option;  (* towards newer cookies *)
+  mutable cur : int;  (* harvest cursor: next index to emit, downwards *)
 }
 
-(* Buckets form a mutable chain ascending by cookie, with both ends at
-   hand: pushes land on [newest] (cookies are issued monotonically, so
-   the common case is append), harvests pop from [oldest]. *)
+(* [bs.(0 .. nb-1)] are the live buckets, ascending by cookie: pushes
+   land at the newest end (cookies are issued monotonically, so the
+   common case is append), harvests take a prefix. [bs.(nb .. made-1)]
+   are emptied buckets kept for reuse; slots past [made] are unused. *)
 type 'a t = {
-  mutable oldest : 'a bucket option;
-  mutable newest : 'a bucket option;
+  mutable bs : 'a bucket array;
+  mutable nb : int;
+  mutable made : int;
   mutable next_seq : int;
   mutable len : int;
   mutable work : int;
 }
 
 let create () =
-  { oldest = None; newest = None; next_seq = 0; len = 0; work = 0 }
+  { bs = [||]; nb = 0; made = 0; next_seq = 0; len = 0; work = 0 }
 
 let length t = t.len
 let work t = t.work
-
-let new_bucket ~cookie ~seq ~next v =
-  let vals = Array.make 4 v in
-  let seqs = Array.make 4 0 in
-  seqs.(0) <- seq;
-  { cookie; vals; seqs; bn = 1; next }
 
 let bucket_add b ~seq v =
   let cap = Array.length b.vals in
@@ -70,94 +68,123 @@ let bucket_add b ~seq v =
   b.seqs.(b.bn) <- seq;
   b.bn <- b.bn + 1
 
+(* An empty bucket for [cookie] at slot [nb], not yet counted live:
+   a recycled one when there is a spare, else a new one. *)
+let spare_bucket t ~cookie v =
+  if t.nb < t.made then begin
+    let b = t.bs.(t.nb) in
+    b.cookie <- cookie;
+    b.bn <- 0;
+    b
+  end
+  else begin
+    let b =
+      { cookie; vals = Array.make 4 v; seqs = Array.make 4 0; bn = 0; cur = 0 }
+    in
+    let cap = Array.length t.bs in
+    if t.made = cap then begin
+      let bs = Array.make (max 4 (2 * cap)) b in
+      Array.blit t.bs 0 bs 0 cap;
+      t.bs <- bs
+    end;
+    t.bs.(t.made) <- b;
+    t.made <- t.made + 1;
+    b
+  end
+
 let push t ~cookie v =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   t.len <- t.len + 1;
-  match t.newest with
-  | Some nb when nb.cookie = cookie -> bucket_add nb ~seq v
-  | Some nb when cookie > nb.cookie ->
-      let b = new_bucket ~cookie ~seq ~next:None v in
-      nb.next <- Some b;
-      t.newest <- Some b
-  | None ->
-      let b = new_bucket ~cookie ~seq ~next:None v in
-      t.oldest <- Some b;
-      t.newest <- Some b
-  | Some _ ->
-      (* Cookie older than the newest bucket (demotions from different
-         CPUs interleave): walk from the old end. The insertion point is
-         strictly before [newest], so the walk cannot fall off the
-         chain. *)
-      let rec go prev cur =
-        match cur with
-        | Some b when b.cookie = cookie -> bucket_add b ~seq v
-        | Some b when b.cookie > cookie ->
-            let nb = new_bucket ~cookie ~seq ~next:cur v in
-            (match prev with
-            | None -> t.oldest <- Some nb
-            | Some p -> p.next <- Some nb)
-        | Some b -> go (Some b) b.next
-        | None -> assert false
-      in
-      go None t.oldest
+  let nb = t.nb in
+  if nb > 0 && t.bs.(nb - 1).cookie = cookie then
+    bucket_add t.bs.(nb - 1) ~seq v
+  else if nb = 0 || cookie > t.bs.(nb - 1).cookie then begin
+    bucket_add (spare_bucket t ~cookie v) ~seq v;
+    t.nb <- nb + 1
+  end
+  else begin
+    (* Cookie older than the newest bucket (demotions from different
+       CPUs interleave): find its place from the old end. It lies
+       strictly before the newest bucket. *)
+    let p = ref 0 in
+    while t.bs.(!p).cookie < cookie do
+      incr p
+    done;
+    if t.bs.(!p).cookie = cookie then bucket_add t.bs.(!p) ~seq v
+    else begin
+      let b = spare_bucket t ~cookie v in
+      Array.blit t.bs !p t.bs (!p + 1) (nb - !p);
+      t.bs.(!p) <- b;
+      bucket_add b ~seq v;
+      t.nb <- nb + 1
+    end
+  end
+
+let reverse a lo hi =
+  let i = ref lo and j = ref (hi - 1) in
+  while !i < !j do
+    let x = a.(!i) in
+    a.(!i) <- a.(!j);
+    a.(!j) <- x;
+    incr i;
+    decr j
+  done
 
 let harvest t ~completed ~f =
-  let rec pop_buckets acc n =
-    match t.oldest with
-    | Some b when b.cookie <= completed ->
-        t.oldest <- b.next;
-        (match b.next with None -> t.newest <- None | Some _ -> ());
-        t.work <- t.work + 1;
-        pop_buckets (b :: acc) (n + b.bn)
-    | _ -> (acc, n)
-  in
-  let popped, n = pop_buckets [] 0 in
+  let k = ref 0 and n = ref 0 in
+  while !k < t.nb && t.bs.(!k).cookie <= completed do
+    n := !n + t.bs.(!k).bn;
+    incr k
+  done;
+  let k = !k and n = !n in
   t.len <- t.len - n;
-  t.work <- t.work + n;
-  (match popped with
-  | [] -> ()
-  | [ b ] ->
-      for i = b.bn - 1 downto 0 do
-        f b.vals.(i)
-      done
-  | popped ->
-      (* Emit in global newest-first (descending sequence) order —
-         exactly what partitioning the old single list returned. Each
-         bucket is ascending by construction, so walk the tails: a
-         k-way merge with tiny k, streamed straight into [f]. *)
-      let bs = Array.of_list popped in
-      let k = Array.length bs in
-      let idx = Array.map (fun b -> b.bn - 1) bs in
-      let remaining = ref n in
+  t.work <- t.work + k + n;
+  if k = 1 then begin
+    let b = t.bs.(0) in
+    for i = b.bn - 1 downto 0 do
+      f b.vals.(i)
+    done
+  end
+  else if k > 1 then begin
+    (* Emit in global newest-first (descending sequence) order — exactly
+       what partitioning the old single list returned. Each bucket is
+       ascending by construction, so walk the tails: a k-way merge with
+       tiny k, streamed straight into [f]. *)
+    for i = 0 to k - 1 do
+      t.bs.(i).cur <- t.bs.(i).bn - 1
+    done;
+    for _ = 1 to n do
       let best = ref (-1) and best_seq = ref min_int in
-      while !remaining > 0 do
-        best := -1;
-        best_seq := min_int;
-        for i = 0 to k - 1 do
-          let j = idx.(i) in
-          if j >= 0 && (Array.unsafe_get bs.(i).seqs j) > !best_seq then begin
-            best := i;
-            best_seq := bs.(i).seqs.(j)
-          end
-        done;
-        let b = bs.(!best) in
-        f b.vals.(idx.(!best));
-        idx.(!best) <- idx.(!best) - 1;
-        decr remaining
-      done);
+      for i = 0 to k - 1 do
+        let b = t.bs.(i) in
+        if b.cur >= 0 && b.seqs.(b.cur) > !best_seq then begin
+          best := i;
+          best_seq := b.seqs.(b.cur)
+        end
+      done;
+      let b = t.bs.(!best) in
+      f b.vals.(b.cur);
+      b.cur <- b.cur - 1
+    done
+  end;
+  if k > 0 then begin
+    (* Rotate the emptied prefix behind the live buckets: they become
+       the first spares. *)
+    reverse t.bs 0 k;
+    reverse t.bs k t.nb;
+    reverse t.bs 0 t.nb;
+    t.nb <- t.nb - k
+  end;
   n
 
 let iter f t =
-  let rec go = function
-    | None -> ()
-    | Some b ->
-        for i = b.bn - 1 downto 0 do
-          f b.vals.(i)
-        done;
-        go b.next
-  in
-  go t.oldest
+  for j = 0 to t.nb - 1 do
+    let b = t.bs.(j) in
+    for i = b.bn - 1 downto 0 do
+      f b.vals.(i)
+    done
+  done
 
 module Fifo = struct
   (* Ring buffers throughout: the payload ring plus a parallel pair of
@@ -257,20 +284,20 @@ module Fifo = struct
       Some v
     end
 
-  let pop_back t =
-    if t.n = 0 then None
-    else begin
-      let v = t.arr.((t.head + t.n - 1) land (Array.length t.arr - 1)) in
-      t.n <- t.n - 1;
-      let last = (t.rhead + t.rcount - 1) land (Array.length t.rc - 1) in
-      t.rn.(last) <- t.rn.(last) - 1;
-      if t.rn.(last) = 0 then t.rcount <- t.rcount - 1;
-      Some v
-    end
+  let pop_back_exn t =
+    if t.n = 0 then invalid_arg "Latq.Fifo.pop_back_exn: empty";
+    let v = t.arr.((t.head + t.n - 1) land (Array.length t.arr - 1)) in
+    t.n <- t.n - 1;
+    let last = (t.rhead + t.rcount - 1) land (Array.length t.rc - 1) in
+    t.rn.(last) <- t.rn.(last) - 1;
+    if t.rn.(last) = 0 then t.rcount <- t.rcount - 1;
+    v
+
+  let pop_back t = if t.n = 0 then None else Some (pop_back_exn t)
 
   (* Move up to [limit] ripe elements out, oldest first, a whole run at a
      time: the merge loop's per-object [Some] and run peeks disappear. *)
-  let merge_ripe t ~completed ~limit ~f =
+  let merge_ripe t ~completed ~limit ~f x =
     let moved = ref 0 in
     let continue = ref true in
     while
@@ -280,7 +307,7 @@ module Fifo = struct
       let k = min t.rn.(t.rhead) (limit - !moved) in
       let mask = Array.length t.arr - 1 in
       for _ = 1 to k do
-        f t.arr.(t.head);
+        f x t.arr.(t.head);
         t.head <- (t.head + 1) land mask
       done;
       t.n <- t.n - k;

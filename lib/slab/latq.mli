@@ -23,7 +23,9 @@ val harvest : 'a t -> completed:int -> f:('a -> unit) -> int
     each newest-first (the order a [List.partition] over the old
     intrusive list produced), and return their count, already
     maintained — no [List.length], no intermediate list. Costs O(ripe
-    elements + ripe buckets); unripe buckets are not visited. *)
+    elements + ripe buckets); unripe buckets are not visited. Emptied
+    buckets are kept for later pushes, so a steady push/harvest cycle
+    allocates nothing. [f] must not push onto the same queue. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Every element, bucket by bucket (ascending cookie, newest first
@@ -52,14 +54,18 @@ module Fifo : sig
   (** The oldest element, if its grace period has completed. *)
 
   val merge_ripe :
-    'a t -> completed:int -> limit:int -> f:('a -> unit) -> int
-  (** Pop up to [limit] ripe elements, oldest first, applying [f] to
-      each; returns how many moved. Equivalent to a [pop_front_ripe]
-      loop but allocation-free (no per-element option, runs consumed in
-      batch). *)
+    'a t -> completed:int -> limit:int -> f:('b -> 'a -> unit) -> 'b -> int
+  (** [merge_ripe t ~completed ~limit ~f x] pops up to [limit] ripe
+      elements, oldest first, applying [f x] to each; returns how many
+      moved. Equivalent to a [pop_front_ripe] loop but allocation-free (no
+      per-element option, runs consumed in batch; [x] lets [f] be a
+      closed function rather than a closure built per call). *)
+
+  val pop_back_exn : 'a t -> 'a
+  (** The newest element (pre-flush eviction order). Raises
+      [Invalid_argument] when empty. *)
 
   val pop_back : 'a t -> 'a option
-  (** The newest element (pre-flush eviction order). *)
 
   val ripe_count : 'a t -> completed:int -> int
   (** How many elements are past the horizon — O(distinct cookies),

@@ -50,13 +50,12 @@ let alloc_inner t (cache : Frame.cache) cpu =
                 ~select:Frame.select_slub
           | None -> 0
       in
-      if got = 0 then None
-      else
-        match Frame.pop_ocache pc with
-        | Some obj ->
-            Frame.hand_to_user cache cpu obj;
-            Some obj
-        | None -> None
+      if got = 0 || pc.Frame.ocache_n = 0 then None
+      else begin
+        let obj = Frame.pop_ocache_exn pc in
+        Frame.hand_to_user cache cpu obj;
+        Some obj
+      end
   end
 
 let alloc t (cache : Frame.cache) (cpu : Sim.Machine.cpu) =

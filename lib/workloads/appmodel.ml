@@ -44,84 +44,95 @@ type result = {
   safety_violations : int;
 }
 
-(* Per-CPU, per-cache pool of held objects: a deque so transactions can
-   release oldest-first (typical kernel lifetimes) or newest-first
-   (scratch buffers). *)
-type pool = (string, Slab.Frame.objekt Sim.Deque.t) Hashtbl.t
+(* A cache of the run, resolved from its name once: ops find it by a
+   scan over these few slots instead of a string lookup per cache and
+   another per pool. *)
+type slot = { name : string; cache : Slab.Frame.cache; meter : frag_meter }
 
-(* The raising lookups keep the per-op path free of option boxes. *)
-let pool_for (pool : pool) name =
-  try Hashtbl.find pool name
-  with Not_found ->
-    let d = Sim.Deque.create () in
-    Hashtbl.add pool name d;
-    d
+let rec index_from (slots : slot array) name i =
+  if i = Array.length slots then -1
+  else if String.equal slots.(i).name name then i
+  else index_from slots name (i + 1)
+
+let index_of slots name = index_from slots name 0
+
+let index_exn slots name =
+  let i = index_of slots name in
+  if i < 0 then invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name);
+  i
 
 let run (env : Env.t) (cfg : config) =
   let backend = env.Env.backend in
-  let caches =
-    List.map
-      (fun (spec : cache_spec) ->
-        ( spec.cache_name,
-          backend.Slab.Backend.create_cache ~name:spec.cache_name
-            ~obj_size:spec.obj_size ))
-      cfg.caches
-  in
-  let cache_by_name name =
-    try List.assoc name caches
-    with Not_found ->
-      invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
+  let slots =
+    Array.of_list
+      (List.map
+         (fun (spec : cache_spec) ->
+           {
+             name = spec.cache_name;
+             cache =
+               backend.Slab.Backend.create_cache ~name:spec.cache_name
+                 ~obj_size:spec.obj_size;
+             meter = { sum = 0.; n = 0 };
+           })
+         cfg.caches)
   in
   let ncpus = Sim.Machine.nr_cpus env.Env.machine in
   let txns = ref 0 in
   let oom = ref false in
   let finish_times = ref [] in
-  let frag_meters =
-    List.map (fun (name, _) -> (name, { sum = 0.; n = 0 })) caches
-  in
   Sim.Engine.every env.Env.eng ~period:1_000_000 (fun () ->
-      List.iter
-        (fun (name, cache) ->
-          let f = Slab.Frame.fragmentation cache in
+      Array.iter
+        (fun slot ->
+          let f = Slab.Frame.fragmentation slot.cache in
           if not (Float.is_nan f) then begin
-            let m = List.assoc name frag_meters in
-            m.sum <- m.sum +. f;
-            m.n <- m.n + 1
+            slot.meter.sum <- slot.meter.sum +. f;
+            slot.meter.n <- slot.meter.n + 1
           end)
-        caches;
+        slots;
       true);
   for i = 0 to ncpus - 1 do
     let cpu = Env.cpu env i in
     let rng = Sim.Rng.split env.Env.rng in
     Sim.Process.spawn env.Env.eng (fun () ->
-        let pool : pool = Hashtbl.create 8 in
+        (* This CPU's held objects, one pool per slot: a deque so
+           transactions can release oldest-first (typical kernel
+           lifetimes) or newest-first (scratch buffers). *)
+        let pools = Array.map (fun _ -> Sim.Deque.create ()) slots in
+        (* The held object a release takes, or -1 when the pool is empty
+           (or the cache unknown: nothing was ever acquired from it). *)
+        let held name =
+          let i = index_of slots name in
+          if i >= 0 && Sim.Deque.length pools.(i) > 0 then i else -1
+        in
         let exec_op = function
           | Acquire name -> (
-              let cache = cache_by_name name in
-              match backend.Slab.Backend.alloc cache cpu with
-              | Some obj -> Sim.Deque.push_back (pool_for pool name) obj
+              let i = index_exn slots name in
+              match backend.Slab.Backend.alloc slots.(i).cache cpu with
+              | Some obj -> Sim.Deque.push_back pools.(i) obj
               | None ->
                   oom := true;
                   raise Exit)
-          | Release name -> (
-              match Sim.Deque.pop_front (pool_for pool name) with
-              | Some obj -> backend.Slab.Backend.free (cache_by_name name) cpu obj
-              | None -> ())
-          | Release_newest name -> (
-              match Sim.Deque.pop_back (pool_for pool name) with
-              | Some obj -> backend.Slab.Backend.free (cache_by_name name) cpu obj
-              | None -> ())
-          | Release_deferred name -> (
-              match Sim.Deque.pop_front (pool_for pool name) with
-              | Some obj ->
-                  backend.Slab.Backend.free_deferred (cache_by_name name) cpu obj
-              | None -> ())
+          | Release name ->
+              let i = held name in
+              if i >= 0 then
+                backend.Slab.Backend.free slots.(i).cache cpu
+                  (Sim.Deque.pop_front_exn pools.(i))
+          | Release_newest name ->
+              let i = held name in
+              if i >= 0 then
+                backend.Slab.Backend.free slots.(i).cache cpu
+                  (Sim.Deque.pop_back_exn pools.(i))
+          | Release_deferred name ->
+              let i = held name in
+              if i >= 0 then
+                backend.Slab.Backend.free_deferred slots.(i).cache cpu
+                  (Sim.Deque.pop_front_exn pools.(i))
           | Work ns -> Sim.Machine.consume cpu ns
         in
         (try
            List.iter
              (fun (name, count) ->
-               let cache = cache_by_name name in
+               let cache = slots.(index_exn slots name).cache in
                for _ = 1 to count do
                  match backend.Slab.Backend.alloc cache cpu with
                  | Some _obj -> () (* held for the whole run *)
@@ -152,11 +163,11 @@ let run (env : Env.t) (cfg : config) =
   Sim.Process.spawn env.Env.eng (fun () -> backend.Slab.Backend.settle ());
   Sim.Engine.run_until_quiet env.Env.eng;
   let total_frees, total_deferred =
-    List.fold_left
-      (fun (f, d) (_, cache) ->
-        let s = Slab.Slab_stats.snapshot cache.Slab.Frame.stats in
+    Array.fold_left
+      (fun (f, d) slot ->
+        let s = Slab.Slab_stats.snapshot slot.cache.Slab.Frame.stats in
         (f + s.Slab.Slab_stats.frees, d + s.Slab.Slab_stats.deferred_frees))
-      (0, 0) caches
+      (0, 0) slots
   in
   {
     label = backend.Slab.Backend.label;
@@ -172,9 +183,8 @@ let run (env : Env.t) (cfg : config) =
          /. float_of_int (total_frees + total_deferred));
     caches =
       List.map
-        (fun (name, cache) ->
+        (fun { name; cache; meter } ->
           let contended, wait = Env.node_lock_stats env cache in
-          let meter = List.assoc name frag_meters in
           let sampled_frag =
             if meter.n = 0 then Slab.Frame.fragmentation cache
             else meter.sum /. float_of_int meter.n
@@ -186,7 +196,7 @@ let run (env : Env.t) (cfg : config) =
             lock_contended = contended;
             lock_wait_ns = wait;
           })
-        caches;
+        (Array.to_list slots);
     oom = !oom;
     safety_violations = List.length (Env.safety_violations env);
   }

@@ -115,6 +115,126 @@ let test_rcutree_lookup () =
   let words = words_per_op (fun () -> ignore (Rcudata.Rcutree.lookup t c ~key:10)) in
   check_budget "Rcutree.lookup" ~budget:2. words
 
+(* The slab frame's steady-state object moves. An allocation through
+   [Backend.alloc] returns its object in a [Some] (2 words); every other
+   word here would be an object-cache cons, a freelist cons, a fresh
+   slab-list node or a closure rebuilt per call. *)
+let slab_backend kind ?config () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let backend =
+    match kind with
+    | `Slub -> Slab.Slub.backend (Slab.Slub.create env.fenv env.rcu)
+    | `Prudence -> Prudence.backend (Prudence.create ?config env.fenv env.rcu)
+  in
+  let cache = backend.Slab.Backend.create_cache ~name:"budget" ~obj_size:512 in
+  (env, backend, cache)
+
+let test_free_alloc_hit kind () =
+  let env, backend, cache = slab_backend kind () in
+  let c = cpu0 env in
+  let obj = ref (Option.get (backend.Slab.Backend.alloc cache c)) in
+  let words =
+    words_per_op (fun () ->
+        backend.Slab.Backend.free cache c !obj;
+        obj := Option.get (backend.Slab.Backend.alloc cache c))
+  in
+  check_budget "free -> alloc hit" ~budget:2. words
+
+(* Defer an object, then allocate with the object cache empty: the
+   allocation merges the (already ripe) latent cache and hands the same
+   object back. *)
+let test_defer_merge_alloc () =
+  let config = { Prudence.default_config with unsafe_skip_gp = true } in
+  let env, backend, cache = slab_backend `Prudence ~config () in
+  let c = cpu0 env in
+  let obj = ref (Option.get (backend.Slab.Backend.alloc cache c)) in
+  let pc = Slab.Frame.pcpu_for cache c in
+  while pc.Slab.Frame.ocache_n > 0 do
+    Slab.Frame.hand_to_user cache c (Slab.Frame.pop_ocache_exn pc)
+  done;
+  let merges () = (Slab.Slab_stats.snapshot cache.Slab.Frame.stats).merges in
+  let merges0 = merges () in
+  let words =
+    words_per_op (fun () ->
+        backend.Slab.Backend.free_deferred cache c !obj;
+        obj := Option.get (backend.Slab.Backend.alloc cache c))
+  in
+  Alcotest.(check int) "every allocation merged"
+    (warmup + iters) (merges () - merges0);
+  check_budget "defer -> merge -> alloc" ~budget:2. words
+
+(* Refill a batch from the node (the slab moves free -> partial) and
+   flush it back (partial -> free). The selector's [Some] is the budget. *)
+let test_refill_flush () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let cache =
+    Slab.Frame.create_cache env.fenv ~name:"budget" ~obj_size:512 ()
+  in
+  let c = cpu0 env in
+  let slab = Option.get (Slab.Frame.grow cache c) in
+  let moves = ref 0 in
+  let words =
+    words_per_op (fun () ->
+        let got =
+          Slab.Frame.refill_from_node cache c ~want:cache.Slab.Frame.batch
+            ~select:Slab.Frame.select_slub
+        in
+        if slab.Slab.Frame.on_list = Slab.Frame.L_partial then incr moves;
+        Slab.Frame.flush_to_node cache c ~count:got;
+        if slab.Slab.Frame.on_list = Slab.Frame.L_free then incr moves)
+  in
+  Alcotest.(check int) "the slab moved twice per cycle"
+    (2 * (warmup + iters)) !moves;
+  check_budget "refill -> flush" ~budget:2. words
+
+(* Two cookies per round, so each harvest merges two buckets; the
+   emptied buckets are reused by the next round's pushes. *)
+let test_latq_cycle () =
+  let q = Slab.Latq.create () in
+  let cookie = ref 0 and sum = ref 0 in
+  let add v = sum := !sum + v in
+  let words =
+    words_per_op (fun () ->
+        let c = !cookie in
+        cookie := c + 2;
+        Slab.Latq.push q ~cookie:(c + 1) 1;
+        Slab.Latq.push q ~cookie:c 2;
+        Slab.Latq.push q ~cookie:(c + 1) 3;
+        ignore (Slab.Latq.harvest q ~completed:(c + 1) ~f:add))
+  in
+  Alcotest.(check int) "every element harvested" (6 * (warmup + iters)) !sum;
+  check_budget "Latq push/harvest" ~budget:0. words
+
+let test_deque () =
+  let d = Sim.Deque.create () in
+  let words =
+    words_per_op (fun () ->
+        Sim.Deque.push_back d 1;
+        Sim.Deque.push_front d 2;
+        Sim.Deque.push_back d 3;
+        ignore (Sim.Deque.pop_front_exn d);
+        ignore (Sim.Deque.pop_back_exn d);
+        ignore (Sim.Deque.pop_back_exn d))
+  in
+  check_budget "Deque push/pop at both ends" ~budget:0. words
+
+(* Queueing idle work and running it costs nothing beyond the sleep. *)
+let test_idle_work () =
+  let eng = Sim.Engine.create () in
+  let machine = Sim.Machine.create eng ~cpus:1 () in
+  let c = Sim.Machine.cpu machine 0 in
+  let ran = ref 0 in
+  let task () = incr ran in
+  let words = ref nan in
+  Sim.Process.spawn eng (fun () ->
+      words :=
+        words_per_op (fun () ->
+            Sim.Machine.submit_idle machine c task;
+            Sim.Machine.idle_sleep machine c 10));
+  Sim.Engine.run eng;
+  Alcotest.(check int) "every task ran" (warmup + iters) !ran;
+  check_budget "submit_idle + idle_sleep" ~budget:4. !words
+
 let suite =
   [
     Alcotest.test_case "Process.sleep <= 4 words" `Quick test_sleep;
@@ -124,4 +244,16 @@ let suite =
     Alcotest.test_case "Probe.emit 0 words" `Quick test_probe_emit;
     Alcotest.test_case "Rculist.lookup <= 2 words" `Quick test_rculist_lookup;
     Alcotest.test_case "Rcutree.lookup <= 2 words" `Quick test_rcutree_lookup;
+    Alcotest.test_case "slub free -> alloc hit <= 2 words" `Quick
+      (test_free_alloc_hit `Slub);
+    Alcotest.test_case "prudence free -> alloc hit <= 2 words" `Quick
+      (test_free_alloc_hit `Prudence);
+    Alcotest.test_case "prudence defer -> merge -> alloc <= 2 words" `Quick
+      test_defer_merge_alloc;
+    Alcotest.test_case "refill -> flush slab move <= 2 words" `Quick
+      test_refill_flush;
+    Alcotest.test_case "Latq push/harvest 0 words" `Quick test_latq_cycle;
+    Alcotest.test_case "Deque both ends 0 words" `Quick test_deque;
+    Alcotest.test_case "submit_idle + idle_sleep <= 4 words" `Quick
+      test_idle_work;
   ]

@@ -74,6 +74,52 @@ let prop_deque_model =
         ops
       && Sim.Deque.to_list d = !model)
 
+(* Long, push-heavy runs: the ring starts empty, grows several times and
+   wraps at both ends (push_front walks [head] backwards past slot 0). The
+   raising pops run only when the model says the deque is non-empty. *)
+let prop_ring_model =
+  QCheck.Test.make ~name:"ring deque matches a list model over long runs"
+    ~count:200
+    QCheck.(list_of_size Gen.(64 -- 256) (pair (int_bound 5) small_int))
+    (fun ops ->
+      let d = Sim.Deque.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (op, v) ->
+          (match op with
+          | 0 | 1 ->
+              Sim.Deque.push_back d v;
+              model := !model @ [ v ]
+          | 2 | 3 ->
+              Sim.Deque.push_front d v;
+              model := v :: !model
+          | 4 -> (
+              match !model with
+              | [] -> ()
+              | x :: rest ->
+                  model := rest;
+                  assert (Sim.Deque.pop_front_exn d = x))
+          | _ -> (
+              match List.rev !model with
+              | [] -> ()
+              | x :: rest ->
+                  model := List.rev rest;
+                  assert (Sim.Deque.pop_back_exn d = x)));
+          Sim.Deque.length d = List.length !model
+          && Sim.Deque.peek_front d = List.nth_opt !model 0
+          && Sim.Deque.peek_back d = List.nth_opt (List.rev !model) 0)
+        ops
+      && Sim.Deque.to_list d = !model)
+
+let test_exn_on_empty () =
+  let d = Sim.Deque.create () in
+  Alcotest.check_raises "pop_front_exn"
+    (Invalid_argument "Deque.pop_front_exn: empty") (fun () ->
+      ignore (Sim.Deque.pop_front_exn d));
+  Alcotest.check_raises "pop_back_exn"
+    (Invalid_argument "Deque.pop_back_exn: empty") (fun () ->
+      ignore (Sim.Deque.pop_back_exn d))
+
 let suite =
   [
     Alcotest.test_case "fifo" `Quick test_fifo;
@@ -82,5 +128,7 @@ let suite =
     Alcotest.test_case "pop_back after front pushes" `Quick
       test_pop_back_after_front_pushes;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "raising pops on empty" `Quick test_exn_on_empty;
     QCheck_alcotest.to_alcotest prop_deque_model;
+    QCheck_alcotest.to_alcotest prop_ring_model;
   ]

@@ -60,13 +60,51 @@ let test_pop_front () =
   Alcotest.(check (option int)) "pop" (Some 2) (Sim.Dlist.pop_front l);
   Alcotest.(check (option int)) "empty pop" None (Sim.Dlist.pop_front l)
 
-let test_first_n () =
+(* Cursor walks both ways, and a walk that reads [next] before removing
+   the node survives the removal. *)
+let test_cursor () =
   let l = Sim.Dlist.create () in
   List.iter (fun x -> ignore (Sim.Dlist.push_back l x)) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "first 3" [ 1; 2; 3 ] (Sim.Dlist.first_n l 3);
-  Alcotest.(check (list int)) "first 10 clamps" [ 1; 2; 3; 4; 5 ]
-    (Sim.Dlist.first_n l 10);
-  Alcotest.(check (list int)) "first 0" [] (Sim.Dlist.first_n l 0)
+  let walk start step =
+    let rec go c acc =
+      if Sim.Dlist.is_none c then List.rev acc
+      else go (step c) (Sim.Dlist.value c :: acc)
+    in
+    go start []
+  in
+  Alcotest.(check (list int)) "forward" [ 1; 2; 3; 4; 5 ]
+    (walk (Sim.Dlist.first l) Sim.Dlist.next);
+  Alcotest.(check (list int)) "backward" [ 5; 4; 3; 2; 1 ]
+    (walk (Sim.Dlist.last l) Sim.Dlist.prev);
+  let c = ref (Sim.Dlist.first l) in
+  while not (Sim.Dlist.is_none !c) do
+    let n = !c in
+    c := Sim.Dlist.next n;
+    if Sim.Dlist.value n mod 2 = 0 then Sim.Dlist.remove l n
+  done;
+  Alcotest.(check (list int)) "evens removed mid-walk" [ 1; 3; 5 ]
+    (Sim.Dlist.to_list l);
+  Alcotest.(check bool) "empty list has no first" true
+    (Sim.Dlist.is_none (Sim.Dlist.first (Sim.Dlist.create ())))
+
+(* A removed node is re-linked, not rebuilt: the handle moves between
+   lists for its whole life, and linking a linked node is refused. *)
+let test_relink () =
+  let a = Sim.Dlist.create () and b = Sim.Dlist.create () in
+  let n = Sim.Dlist.push_back a 7 in
+  ignore (Sim.Dlist.push_back b 8);
+  Sim.Dlist.remove a n;
+  Alcotest.(check bool) "detached" false (Sim.Dlist.linked n);
+  Sim.Dlist.link_front b n;
+  Alcotest.(check (list int)) "moved to the front of b" [ 7; 8 ]
+    (Sim.Dlist.to_list b);
+  Alcotest.(check bool) "a empty" true (Sim.Dlist.is_empty a);
+  (try
+     Sim.Dlist.link_back a n;
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  Alcotest.(check bool) "none is not linked" false
+    (Sim.Dlist.linked Sim.Dlist.none)
 
 let test_fold_exists () =
   let l = Sim.Dlist.create () in
@@ -122,7 +160,8 @@ let suite =
     Alcotest.test_case "foreign remove rejected" `Quick
       test_remove_foreign_rejected;
     Alcotest.test_case "pop_front" `Quick test_pop_front;
-    Alcotest.test_case "first_n" `Quick test_first_n;
+    Alcotest.test_case "cursor walks" `Quick test_cursor;
+    Alcotest.test_case "relink a node" `Quick test_relink;
     Alcotest.test_case "fold/exists" `Quick test_fold_exists;
     QCheck_alcotest.to_alcotest prop_model_check;
   ]

@@ -129,9 +129,8 @@ let test_latent_cache_fifo_ripeness () =
   | None -> Alcotest.fail "expected ripe object");
   Alcotest.(check bool) "next not ripe at 1" true
     (Frame.latent_cache_pop_ripe cache pc ~completed:1 = None);
-  (match Frame.latent_cache_pop_newest cache pc with
-  | Some o -> Alcotest.(check int) "newest popped" o2.Frame.oid o.Frame.oid
-  | None -> Alcotest.fail "expected object")
+  Alcotest.(check int) "newest popped" o2.Frame.oid
+    (Frame.latent_cache_pop_newest cache pc).Frame.oid
 
 let test_latent_slab_harvest () =
   let env, cache = make_cache ~latent_aware:true () in
@@ -223,17 +222,13 @@ let test_shrink_skips_pre_moved_slabs () =
   let slabs = List.init n (fun _ -> Option.get (Frame.grow cache c)) in
   (* Make the first slab all-latent: take its objects and defer them. *)
   let first = List.hd slabs in
-  let rec take_all () =
-    match Frame.take_free_obj first with
-    | Some o ->
-        (* hand + stamp to latent *)
-        Frame.hand_to_user cache c o;
-        Frame.stamp_deferred cache o ~cookie:99;
-        Frame.obj_to_latent_slab cache o;
-        take_all ()
-    | None -> ()
-  in
-  take_all ();
+  while first.Frame.free_n > 0 do
+    (* hand + stamp to latent *)
+    let o = Frame.take_free_obj first in
+    Frame.hand_to_user cache c o;
+    Frame.stamp_deferred cache o ~cookie:99;
+    Frame.obj_to_latent_slab cache o
+  done;
   ignore (Frame.relocate cache first);
   Alcotest.(check bool) "pre-moved slab on free list" true
     (first.Frame.on_list = Frame.L_free);
@@ -266,8 +261,8 @@ let test_select_prudence_avoids_mostly_deferred () =
      objects deferred (mostly-deferred). *)
   let setup deferred =
     let slab = Option.get (Frame.grow cache c) in
-    let o1 = Option.get (Frame.take_free_obj slab) in
-    let o2 = Option.get (Frame.take_free_obj slab) in
+    let o1 = Frame.take_free_obj slab in
+    let o2 = Frame.take_free_obj slab in
     Frame.hand_to_user cache c o1;
     Frame.hand_to_user cache c o2;
     ignore (Frame.relocate cache slab);
@@ -314,6 +309,69 @@ let test_color_cycles () =
   Alcotest.(check bool) "colors differ across consecutive slabs" true
     (s1.Frame.color <> s2.Frame.color)
 
+(* Object identity decides the first-touch cost in [hand_to_user], so the
+   order objects are handed out in is behaviour, not an implementation
+   detail. The sequences below were recorded from the list-based frame
+   (object-cache and freelist conses) that the array stacks replaced. *)
+let order_env kind =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let backend =
+    match kind with
+    | `Slub -> Slab.Slub.backend (Slab.Slub.create env.fenv env.rcu)
+    | `Prudence -> Prudence.backend (Prudence.create env.fenv env.rcu)
+  in
+  let cache = backend.Slab.Backend.create_cache ~name:"order" ~obj_size:512 in
+  let c = cpu0 env in
+  let alloc () = Option.get (backend.Slab.Backend.alloc cache c) in
+  let free o = backend.Slab.Backend.free cache c o in
+  (cache, c, alloc, free)
+
+let oids = List.map (fun (o : Frame.objekt) -> o.Frame.oid)
+
+let test_order_lifo kind () =
+  let _, _, alloc, free = order_env kind in
+  let a = alloc () in
+  let b = alloc () in
+  let c = alloc () in
+  List.iter free [ a; b; c ];
+  let again = List.init 3 (fun _ -> alloc ()) in
+  Alcotest.(check (list int)) "free a, b, c; alloc gives c, b, a"
+    (oids [ c; b; a ]) (oids again)
+
+(* A refill moves a batch of 15 off the slab's freelist in oid order, so
+   the object cache pops each batch in reverse. *)
+let fresh_order =
+  [ 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0; 15; 30; 29; 28; 27;
+    26; 25; 24; 23; 22; 21; 20; 19; 18; 17; 16; 31; 46; 45; 44; 43; 42; 41;
+    40; 39 ]
+
+let test_order_fresh kind () =
+  let _, _, alloc, _ = order_env kind in
+  Alcotest.(check (list int)) "first 40 allocations" fresh_order
+    (oids (List.init 40 (fun _ -> alloc ())))
+
+let flush_refill_order =
+  [ 5; 4; 3; 2; 1; 0; 15; 14; 13; 12; 11; 10; 9; 8; 7; 45; 44; 43; 42; 41;
+    40; 39; 32; 33; 34; 35; 36; 37; 38; 6; 27; 26; 25; 24; 23; 22; 21; 20;
+    19; 18 ]
+
+let test_order_flush_refill kind () =
+  let cache, c, alloc, free = order_env kind in
+  List.iter free (List.init 40 (fun _ -> alloc ()));
+  let pc = Frame.pcpu_for cache c in
+  Frame.flush_to_node cache c ~count:pc.Frame.ocache_n;
+  Alcotest.(check int) "object cache flushed" 0 pc.Frame.ocache_n;
+  Alcotest.(check (list int)) "40 allocations after free + flush"
+    flush_refill_order
+    (oids (List.init 40 (fun _ -> alloc ())))
+
+let test_fresh_slab_freelist_order () =
+  let env, cache = make_cache () in
+  let slab = Option.get (Frame.grow cache (cpu0 env)) in
+  let n = slab.Frame.capacity in
+  Alcotest.(check (list int)) "List.init order" (List.init n Fun.id)
+    (oids (List.init n (fun _ -> Frame.take_free_obj slab)))
+
 let suite =
   [
     Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
@@ -339,4 +397,17 @@ let suite =
       test_select_prudence_avoids_mostly_deferred;
     Alcotest.test_case "fragmentation formula" `Quick test_fragmentation_formula;
     Alcotest.test_case "slab colouring cycles" `Quick test_color_cycles;
+    Alcotest.test_case "fresh slab freelist in oid order" `Quick
+      test_fresh_slab_freelist_order;
   ]
+  @ List.concat_map
+      (fun (name, kind) ->
+        [
+          Alcotest.test_case (name ^ ": free a,b,c -> alloc c,b,a") `Quick
+            (test_order_lifo kind);
+          Alcotest.test_case (name ^ ": fresh hand-out order") `Quick
+            (test_order_fresh kind);
+          Alcotest.test_case (name ^ ": flush-then-refill order") `Quick
+            (test_order_flush_refill kind);
+        ])
+      [ ("slub", `Slub); ("prudence", `Prudence) ]

@@ -128,13 +128,13 @@ let test_fifo_merge_ripe_batches () =
   (* cookies 0,0,0,1,1,1,2,2,2,3: completed=1 makes six ripe. *)
   let got = ref [] in
   let n =
-    Fifo.merge_ripe q ~completed:1 ~limit:4 ~f:(fun v -> got := v :: !got)
+    Fifo.merge_ripe q ~completed:1 ~limit:4 ~f:(fun got v -> got := v :: !got) got
   in
   Alcotest.(check int) "limit respected" 4 n;
   Alcotest.(check (list int)) "oldest first" [ 0; 1; 2; 3 ] (List.rev !got);
   got := [];
   let n2 =
-    Fifo.merge_ripe q ~completed:1 ~limit:10 ~f:(fun v -> got := v :: !got)
+    Fifo.merge_ripe q ~completed:1 ~limit:10 ~f:(fun got v -> got := v :: !got) got
   in
   Alcotest.(check int) "rest of the ripe run" 2 n2;
   Alcotest.(check (list int)) "continues in order" [ 4; 5 ] (List.rev !got);

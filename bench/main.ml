@@ -78,11 +78,11 @@ let trace_section () =
   | None -> assert false
   | Some runs ->
       List.iter
-        (fun (label, tr) ->
+        (fun { Core.Experiments.label; lifetime; _ } ->
           Format.printf "%s@."
             (Core.Metrics.Histview.render
                ~title:(label ^ " defer->reuse lifetime")
-               (Core.Trace.lifetime tr)))
+               lifetime))
         runs;
       Format.printf "(section trace took %.1fs of real time)@.@."
         (Unix.gettimeofday () -. t0)

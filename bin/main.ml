@@ -64,9 +64,11 @@ let trace_experiment id out want_hists ring p =
       let out =
         match out with Some f -> f | None -> Printf.sprintf "trace-%s.json" id
       in
-      Core.Trace.Chrome.write_file out runs;
+      let module E = Core.Experiments in
+      Core.Trace.Chrome.write_file out
+        (List.map (fun r -> (r.E.label, r.E.tracer)) runs);
       List.iter
-        (fun (label, tr) ->
+        (fun { E.label; tracer = tr; lifetime } ->
           Format.printf "== %s: %d events retained (%d dropped)@." label
             (Core.Trace.total_events tr)
             (Core.Trace.total_dropped tr);
@@ -74,14 +76,14 @@ let trace_experiment id out want_hists ring p =
             Format.printf "%s@."
               (Core.Metrics.Histview.render ~title:(label ^ " " ^ title) h)
           in
-          hist "defer->reuse lifetime" (Core.Trace.lifetime tr);
+          hist "defer->reuse lifetime" lifetime;
           if want_hists then begin
             hist "grace-period latency" (Core.Trace.gp_latency tr);
             hist "node-lock wait" (Core.Trace.lock_wait tr);
             hist "allocation-path cost" (Core.Trace.alloc_cost tr)
           end)
         runs;
-      (let p50 (_, tr) = Core.Trace.Hist.percentile (Core.Trace.lifetime tr) 50. in
+      (let p50 r = Core.Trace.Hist.percentile r.E.lifetime 50. in
        match runs with
        | [ slub; prud ] when p50 slub > 0 ->
            Format.printf

@@ -51,6 +51,10 @@ let note_trace t ~cpu ~kind_index =
       ((domain_adjacency lsl domain_shift)
       lor ((((cpu * kinds) + prev) * kinds) + kind_index))
 
+let watch_trace t probe =
+  Sim.Probe.subscribe probe Trace.Event.kinds (fun kind ~cpu ~a:_ ~b:_ ->
+      note_trace t ~cpu ~kind_index:(Trace.Event.index kind))
+
 let bucket n =
   let rec go b n = if n <= 1 then b else go (b + 1) (n lsr 1) in
   go 0 n

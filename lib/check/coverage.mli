@@ -7,8 +7,8 @@
       states, fed by {!Shadow} as objects move through
       [live -> deferred -> ripe -> reclaimed];
     - {e trace adjacency}: per-CPU consecutive trace-event-kind pairs,
-      fed from the tracer's live sink — which fault/GP/allocator events
-      ran back-to-back on a CPU;
+      fed straight from the trace edges of the engine's probe — which
+      fault/GP/allocator events ran back-to-back on a CPU;
     - {e schedule shape}: log2-bucketed lengths of same-instant event
       runs from the engine observer — how the shuffled tie-break
       serialized logically concurrent events.
@@ -25,8 +25,9 @@ val create : unit -> t
 val note_transition : t -> from_tag:int -> to_tag:int -> unit
 (** Record a shadow-state transition; tags are small ints (< 8). *)
 
-val note_trace : t -> cpu:int -> kind_index:int -> unit
-(** Record a trace event (from {!Trace.set_sink}); [cpu] may be [-1]. *)
+val watch_trace : t -> Sim.Probe.t -> unit
+(** Subscribe the trace-adjacency feed to every trace-kind edge
+    ({!Trace.Event.kinds}), keyed by {!Trace.Event.index}. *)
 
 val note_event : t -> time:int -> unit
 (** Record an executed engine event (from {!Sim.Engine.set_observer}). *)

@@ -208,9 +208,7 @@ let install ?(page_reuse = true) ?(early_reuse = true) ?coverage
       | Obj_pool -> on_pool t ~oid:a
       | Obj_page_release -> on_page_release t ~oid:a ~cookie:b
       | Reader_hold -> on_reader_access t ~cpu ~oid:a
-      | Gp_request | Gp_start | Gp_qs | Smr_request | Epoch_scan
-      | Epoch_blocked | Batch_seal | Batch_unref ->
-          ());
+      | _ -> ());
       Prof.exit prof Prof.Span.Check_probe);
   t.smr.Slab.Smr.on_ripen (fun frontier -> on_gp_complete t frontier);
   t

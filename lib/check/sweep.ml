@@ -227,8 +227,8 @@ let dump_bundle dir cfg env v =
   Obs.Bundle.write ~path ~reason ~replay:v.replay
     ~scheme:(W.Env.kind_label v.case.kind)
     ~at_ns:(Sim.Engine.now env.W.Env.eng)
-    ~tracer:env.W.Env.tracer ~anatomy:env.W.Env.obs ~offenders ~violations
-    ~metrics ();
+    ~trace:(Option.get env.W.Env.tracer) ~anatomy:env.W.Env.obs ~offenders
+    ~violations ~metrics ();
   path
 
 (* Mirrors [Workloads.Chaos.run_one] — same fault plan, same mitigations —
@@ -243,15 +243,10 @@ let run_case ?coverage cfg case =
       seed = cfg.seed;
       tiebreak = Sim.Engine.Shuffle case.shuffle_seed;
       total_pages = cfg.total_pages;
-      (* Coverage's trace-adjacency feed needs a live tracer; the sink
-         sees every event regardless of ring retention, so the ring can
-         stay small. Bundling needs the flight-recorder window, so it
-         arms the tracer (and the anatomy recorder) too — both are pure
-         observation, so the verdict is identical either way. *)
-      trace =
-        (match (coverage, cfg.bundle_dir) with
-        | None, None -> None
-        | _ -> Some 1_024);
+      (* Bundling needs the flight-recorder window, so it arms the tracer
+         (and the anatomy recorder) — both pure observation, so the
+         verdict is identical either way. *)
+      trace = (if cfg.bundle_dir = None then None else Some 1_024);
       obs = cfg.bundle_dir <> None;
       rcu_config =
         {
@@ -310,11 +305,7 @@ let run_case ?coverage cfg case =
   let engine = Sim.Machine.engine env.W.Env.machine in
   (match coverage with
   | Some cov ->
-      Trace.set_sink env.W.Env.tracer
-        (Some
-           (fun ~cpu ~kind ->
-             Coverage.note_trace cov ~cpu
-               ~kind_index:(Trace.Event.kind_index kind)));
+      Coverage.watch_trace cov (Sim.Engine.probe engine);
       Sim.Engine.set_observer engine
         (Some
            (fun ~time ->

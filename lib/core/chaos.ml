@@ -107,8 +107,8 @@ let write_bundle dir p reason (o : Workloads.Chaos.outcome) =
     ~replay:(chaos_replay p o.Workloads.Chaos.scenario o.Workloads.Chaos.label)
     ~scheme:o.Workloads.Chaos.label
     ~at_ns:(Sim.Engine.now env.Workloads.Env.eng)
-    ~tracer:env.Workloads.Env.tracer ~anatomy:env.Workloads.Env.obs
-    ~offenders:[] ~violations ~metrics ();
+    ~trace:(Option.get env.Workloads.Env.tracer)
+    ~anatomy:env.Workloads.Env.obs ~offenders:[] ~violations ~metrics ();
   path
 
 let report ?(kinds = [ Workloads.Env.Baseline; Workloads.Env.Prudence_alloc ])

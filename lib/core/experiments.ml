@@ -988,18 +988,25 @@ let run_ablations params =
 
 let traceable = [ "fig3"; "fig6" ]
 
+type traced = { label : string; tracer : Trace.t; lifetime : Trace.Hist.t }
+
 let run_traced params id =
   (* Force tracing on (the whole point of the call), keeping any
-     caller-chosen ring capacity. *)
+     caller-chosen ring capacity; the anatomy recorder supplies the
+     defer->reuse lifetimes. *)
   let params =
     { params with trace = Some (Option.value params.trace ~default:65_536) }
   in
   let pair build run_workload =
     List.map
       (fun kind ->
-        let env = W.Env.build (build kind) in
+        let env = W.Env.build { (build kind) with W.Env.obs = true } in
         run_workload env;
-        (W.Env.kind_label kind, env.W.Env.tracer))
+        {
+          label = W.Env.kind_label kind;
+          tracer = Option.get env.W.Env.tracer;
+          lifetime = Obs.Anatomy.total_hist env.W.Env.obs;
+        })
       [ W.Env.Baseline; W.Env.Prudence_alloc ]
   in
   match id with

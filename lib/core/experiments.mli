@@ -67,9 +67,15 @@ val app_results :
 val traceable : string list
 (** Experiment ids {!run_traced} accepts. *)
 
-val run_traced : params -> string -> (string * Trace.t) list option
+type traced = {
+  label : string;  (** The allocator. *)
+  tracer : Trace.t;  (** Event rings and the GP/lock/alloc histograms. *)
+  lifetime : Trace.Hist.t;
+      (** Defer->reuse lifetimes: the anatomy recorder's total. *)
+}
+
+val run_traced : params -> string -> traced list option
 (** [run_traced params id] reruns experiment [id]'s workload over both
-    allocators with tracing forced on (ring capacity from [params.trace],
-    default 65536) and returns [(allocator label, tracer)] per run — the
-    tracer holds the event rings and latency histograms. [None] if [id]
-    is not in {!traceable}. *)
+    allocators with tracing and the anatomy recorder forced on (ring
+    capacity from [params.trace], default 65536), one {!traced} per run.
+    [None] if [id] is not in {!traceable}. *)

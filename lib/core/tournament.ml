@@ -21,14 +21,15 @@ let limbo_of env =
 
 let cell_of kind (o : Workloads.Chaos.outcome) =
   let env = o.Workloads.Chaos.env in
-  let tracer = env.Workloads.Env.tracer in
+  let reuse = Obs.Anatomy.total_hist env.Workloads.Env.obs in
+  let gp = Trace.gp_latency (Option.get env.Workloads.Env.tracer) in
   {
     outcome = o;
     kind;
     limbo = limbo_of env;
-    reuse_p50_ns = Trace.Hist.percentile_opt (Trace.lifetime tracer) 50.;
-    reuse_p99_ns = Trace.Hist.percentile_opt (Trace.lifetime tracer) 99.;
-    gp_p99_ns = Trace.Hist.percentile_opt (Trace.gp_latency tracer) 99.;
+    reuse_p50_ns = Trace.Hist.percentile_opt reuse 50.;
+    reuse_p99_ns = Trace.Hist.percentile_opt reuse 99.;
+    gp_p99_ns = Trace.Hist.percentile_opt gp 99.;
     obs = env.Workloads.Env.obs;
   }
 

@@ -6,9 +6,9 @@
     Each cell is one {!Workloads.Chaos.run_one} outcome extended with the
     scheme-comparable columns the chaos report does not need: end-of-run
     limbo occupancy (latent objects + pending RCU callbacks) and the
-    defer-to-reuse latency percentiles from the object-lifetime
-    histogram. Deterministic: same params, scenarios and kinds render
-    byte-identical output. *)
+    defer-to-reuse latency percentiles from the anatomy recorder's
+    total ({!Obs.Anatomy.total_hist}). Deterministic: same params,
+    scenarios and kinds render byte-identical output. *)
 
 type cell = {
   outcome : Workloads.Chaos.outcome;

@@ -40,13 +40,10 @@ let pp_stats fmt s =
     s.faults_fired s.readers_stalled s.stall_windows s.flood_cbs
     s.peak_pages_seized s.alloc_refusals
 
-let fire (t : t) spec ~cpu =
+let fire (t : t) label ~cpu =
   t.faults_fired <- t.faults_fired + 1;
-  let tr = Sim.Machine.tracer t.machine in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(Sim.Engine.now t.engine) ~cpu
-      ~label:(Plan.spec_name spec) ~arg:t.faults_fired
-      Trace.Event.Fault_inject
+  Sim.Probe.emit (Sim.Engine.probe t.engine) Fault_inject ~cpu ~a:label
+    ~b:t.faults_fired
 
 let at t time fn =
   ignore (Sim.Engine.schedule_at ~daemon:true t.engine ~time fn)
@@ -55,13 +52,16 @@ let poll_pressure t =
   match t.pressure with None -> () | Some p -> Mem.Pressure.poll p
 
 let install_spec t spec =
+  let label =
+    Sim.Probe.intern (Sim.Engine.probe t.engine) (Plan.spec_name spec)
+  in
   match spec with
   | Plan.Stalled_reader { cpu; at_ns; hold_ns } ->
       at t at_ns (fun () ->
           let c = Sim.Machine.cpu t.machine cpu in
           Rcu.read_lock t.rcu c;
           t.readers_stalled <- t.readers_stalled + 1;
-          fire t spec ~cpu;
+          fire t label ~cpu;
           match hold_ns with
           | None -> () (* held forever: the CPU never reports a QS again *)
           | Some hold ->
@@ -71,19 +71,19 @@ let install_spec t spec =
           let c = Sim.Machine.cpu t.machine cpu in
           c.Sim.Machine.stalled <- true;
           t.stall_windows <- t.stall_windows + 1;
-          fire t spec ~cpu;
+          fire t label ~cpu;
           at t (at_ns + duration_ns) (fun () ->
               c.Sim.Machine.stalled <- false))
   | Plan.Alloc_fault { at_ns; duration_ns; fail_prob } ->
       at t at_ns (fun () ->
-          fire t spec ~cpu:(-1);
+          fire t label ~cpu:(-1);
           Mem.Buddy.set_fail_hook t.buddy
             (Some (fun ~order:_ -> Sim.Rng.chance t.rng fail_prob));
           at t (at_ns + duration_ns) (fun () ->
               Mem.Buddy.set_fail_hook t.buddy None))
   | Plan.Pressure_spike { at_ns; duration_ns; pages } ->
       at t at_ns (fun () ->
-          fire t spec ~cpu:(-1);
+          fire t label ~cpu:(-1);
           (* Greedily seize the largest blocks that fit the remaining
              request, so a big reserve costs few buddy operations. *)
           let blocks = ref [] in
@@ -129,7 +129,7 @@ let install_spec t spec =
         end
       in
       at t at_ns (fun () ->
-          fire t spec ~cpu;
+          fire t label ~cpu;
           tick ())
 
 let install ?pressure plan ~machine ~buddy ~rcu =

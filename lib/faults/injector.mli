@@ -3,8 +3,8 @@
     All events are daemon events at the plan's pinned virtual times, so an
     installed plan never keeps [run_until_quiet] alive; injection is fully
     deterministic (the only randomness — alloc-fault refusal draws — comes
-    from the plan's own seed). Each fault emits a [Fault_inject] trace
-    event, labelled with the spec name, when tracing is armed. *)
+    from the plan's own seed). Each fault emits a [Fault_inject] probe
+    edge labelled with the spec name, interned at install. *)
 
 type t
 

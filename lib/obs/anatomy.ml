@@ -5,8 +5,8 @@
    observation — they read the virtual clock and mutate only their own
    state, never consume virtual time, and never schedule events — so a
    run with the recorder armed is byte-identical (in every deterministic
-   counter) to one without. The off switch is the Trace.null /
-   Prof.null pattern: {!null} has [enabled = false] and every entry
+   counter) to one without. The off switch is the Prof.null pattern:
+   {!null} has [enabled = false], subscribes to nothing, and every entry
    point is one load-and-branch.
 
    Phase attribution: each reclamation token (GP number / epoch / batch
@@ -258,7 +258,7 @@ let subscribe t ~rcu probe =
         | Gp_start | Batch_seal -> note_start t ~token:a
         | Epoch_scan -> note_start_open t
         | Gp_qs | Epoch_blocked | Batch_unref -> note_qs t ~cpu
-        | Obj_free | Reader_hold -> ())
+        | _ -> ())
 
 let observe_frontier t (smr : Slab.Smr.t) =
   if t.enabled then

@@ -62,7 +62,7 @@ let gp_line ~tag (r : Anatomy.gp_record) =
 (* The bundle as a list of JSON lines. [offenders] carries the objects
    the oracle convicted, with the human-readable verdicts; implicated
    grace periods are derived from the offenders' cookies. *)
-let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~tracer
+let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~trace
     ~anatomy ~offenders ~violations ~metrics () =
   let header =
     J.Obj
@@ -73,12 +73,12 @@ let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~tracer
         ("scheme", J.Str scheme);
         ("at_ns", J.Int at_ns);
         ("replay", J.Str replay);
-        ("cpus", J.Int (Trace.ncpus tracer));
+        ("cpus", J.Int (Trace.ncpus trace));
         ("window", J.Int window);
         ("defers", J.Int (Anatomy.defers anatomy));
         ("reuses", J.Int (Anatomy.reuses anatomy));
-        ("events_retained", J.Int (Trace.total_events tracer));
-        ("events_dropped", J.Int (Trace.total_dropped tracer));
+        ("events_retained", J.Int (Trace.total_events trace));
+        ("events_dropped", J.Int (Trace.total_dropped trace));
       ]
   in
   let violation_lines =
@@ -87,9 +87,9 @@ let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~tracer
       violations
   in
   let event_lines =
-    let cpus = Trace.ncpus tracer in
+    let cpus = Trace.ncpus trace in
     let per cpu =
-      List.map event_line (Trace.recent_events tracer ~cpu window)
+      List.map event_line (Trace.recent_events trace ~cpu window)
     in
     List.concat_map per (List.init cpus (fun i -> i) @ [ -1 ])
   in
@@ -167,11 +167,11 @@ let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~tracer
 let to_string lns =
   String.concat "" (List.map (fun l -> J.to_string l ^ "\n") lns)
 
-let write ?window ~path ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
+let write ?window ~path ~reason ~replay ~scheme ~at_ns ~trace ~anatomy
     ~offenders ~violations ~metrics () =
   let body =
     to_string
-      (lines ?window ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
+      (lines ?window ~reason ~replay ~scheme ~at_ns ~trace ~anatomy
          ~offenders ~violations ~metrics ())
   in
   let oc = open_out path in

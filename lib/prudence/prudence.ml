@@ -93,7 +93,7 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
   in
   if moved > 0 then begin
     Stats.merge cache.Frame.stats ~n:moved;
-    Frame.trace_event_arg cache pc.Frame.cpu ~arg:moved Trace.Event.Latent_merge;
+    Frame.emit cache pc.Frame.cpu Latent_merge moved;
     charge pc.Frame.cpu
       (t.env.Frame.costs.Costs.merge
       + (moved * t.env.Frame.costs.Costs.merge_per_obj))
@@ -111,14 +111,9 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
   (* Pre-movement needs the node-list lock only when the list changes. *)
   if Frame.relocate cache slab then begin
     Stats.premove cache.Frame.stats;
-    Frame.trace_event cache pc.Frame.cpu Trace.Event.Premove;
+    Frame.emit cache pc.Frame.cpu Premove 0;
     let node = cache.Frame.nodes.(slab.Frame.node_id) in
-    let delay =
-      Sim.Simlock.acquire ~tracer:(Frame.tracer cache)
-        ~cpu:pc.Frame.cpu.Sim.Machine.id node.Frame.lock
-        ~now:(Sim.Engine.now (Sim.Machine.engine t.env.Frame.machine))
-        ~hold:costs.Costs.node_lock_hold
-    in
+    let delay = Frame.node_lock_delay cache pc.Frame.cpu node in
     cost := !cost + delay + costs.Costs.premove;
     (* Pre-moving onto the free list can push the node over its free-slab
        threshold (Algorithm 1 l.59). *)
@@ -171,8 +166,8 @@ let emergency_reclaim t =
         cache.Frame.nodes;
       if !freed > 0 then begin
         Stats.emergency_flush cache.Frame.stats ~n:!freed;
-        Frame.trace_event_arg cache cache.Frame.pcpus.(0).Frame.cpu ~arg:!freed
-          Trace.Event.Emergency_flush
+        Frame.emit cache cache.Frame.pcpus.(0).Frame.cpu Emergency_flush
+          !freed
       end;
       total := !total + !freed)
     t.caches;
@@ -218,7 +213,7 @@ let rec preflush_pass t (cache : Frame.cache) (pc : Frame.pcpu) =
     done;
     if !moved > 0 then begin
       Stats.preflush_pass cache.Frame.stats ~n:!moved;
-      Frame.trace_event_arg cache pc.Frame.cpu ~arg:!moved Trace.Event.Preflush
+      Frame.emit cache pc.Frame.cpu Preflush !moved
     end;
     (* If work remains and the CPU is still idle, continue in a later
        chunk; otherwise re-arm for the next idle window. *)
@@ -260,7 +255,7 @@ let rec alloc_inner t ~may_wait (cache : Frame.cache) cpu =
   if pc.Frame.ocache_n > 0 then begin
     let obj = Frame.pop_ocache_exn pc in
     Stats.hit cache.Frame.stats;
-    Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+    Frame.emit cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
     Some obj
   end
@@ -274,13 +269,13 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
   if pc.Frame.ocache_n > 0 then begin
     let obj = Frame.pop_ocache_exn pc in
     Stats.hit cache.Frame.stats;
-    Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+    Frame.emit cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
     Some obj
   end
   else begin
     Stats.miss cache.Frame.stats;
-    Frame.trace_event cache cpu Trace.Event.Alloc_miss;
+    Frame.emit cache cpu Alloc_miss 0;
     (* l.13-25: partial refill, leaving room for the latent objects that
        will merge after the grace period. The paper subtracts the whole
        latent count; we subtract only the ripe prefix (the merge is
@@ -346,16 +341,9 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
    Prof.exit's unwind semantics keep the span stack consistent. *)
 let alloc t ?(may_wait = true) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
-  let tr = Frame.tracer cache in
-  let result =
-    if not (Trace.enabled tr) then alloc_inner t ~may_wait cache cpu
-    else begin
-      let pend0 = cpu.Sim.Machine.pending_ns in
-      let result = alloc_inner t ~may_wait cache cpu in
-      Trace.record_alloc_cost tr (cpu.Sim.Machine.pending_ns - pend0);
-      result
-    end
-  in
+  let pend0 = cpu.Sim.Machine.pending_ns in
+  let result = alloc_inner t ~may_wait cache cpu in
+  Frame.emit cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
   result
 
@@ -370,7 +358,7 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   (* l.35: capture the reclamation-scheme state (under RCU: the
      grace-period cookie from [Rcu.snapshot]). *)
   let cookie = t.smr.Smr.defer ~cpu:cpu.Sim.Machine.id in
-  Frame.trace_event_arg cache cpu ~arg:cookie Trace.Event.Defer_free;
+  Frame.emit cache cpu Defer_free cookie;
   Frame.stamp_deferred cache obj ~cookie;
   t.smr.Smr.request ();
   charge cpu costs.Costs.defer_enqueue;

@@ -88,7 +88,6 @@ type t = {
 
 let machine t = t.machine
 let config t = t.cfg
-let tracer t = Sim.Machine.tracer t.machine
 let prof t = Sim.Engine.prof t.engine
 let probe t = Sim.Engine.probe t.engine
 let now t = Sim.Engine.now t.engine
@@ -156,10 +155,7 @@ and softirq_pass t (pc : pcpu) =
     Sim.Machine.consume pc.cpu (n * t.cfg.invoke_cost_ns);
     t.pending <- t.pending - n;
     t.s_cbs_invoked <- t.s_cbs_invoked + n;
-    let tr = tracer t in
-    if Trace.enabled tr then
-      Trace.emit tr ~time:(now t) ~cpu:pc.cpu.Sim.Machine.id ~arg:n
-        Trace.Event.Cb_invoke;
+    Sim.Probe.emit (probe t) Cb_invoke ~cpu:pc.cpu.Sim.Machine.id ~a:0 ~b:n;
     let drained = Cblist.drain pc.cbs ~max:n in
     assert (drained = n)
   end;
@@ -174,10 +170,6 @@ let rec start_gp t =
   t.s_gps_started <- t.s_gps_started + 1;
   t.gp_started_at <- now t;
   Sim.Probe.emit (probe t) Gp_start ~cpu:(-1) ~a:t.s_gps_started ~b:0;
-  (let tr = tracer t in
-   if Trace.enabled tr then
-     Trace.emit tr ~time:t.gp_started_at ~cpu:(-1) ~arg:t.s_gps_started
-       Trace.Event.Gp_start);
   Array.fill t.qs_needed 0 (Array.length t.qs_needed) true;
   t.qs_remaining <- Array.length t.qs_needed;
   arm_stall_check t t.s_gps_started;
@@ -203,13 +195,10 @@ and arm_stall_check t seq =
                t.stall_log <-
                  { at_ns = now t; gp_seq = seq; holdouts = !holdouts }
                  :: t.stall_log;
-               (let tr = tracer t in
-                if Trace.enabled tr then
-                  List.iter
-                    (fun cpu ->
-                      Trace.emit tr ~time:(now t) ~cpu ~arg:seq
-                        Trace.Event.Rcu_stall)
-                    !holdouts);
+               List.iter
+                 (fun cpu ->
+                   Sim.Probe.emit (probe t) Rcu_stall ~cpu ~a:0 ~b:seq)
+                 !holdouts;
                arm_stall_check t seq
              end))
 
@@ -219,12 +208,7 @@ and complete_gp t =
   t.gp_active <- false;
   t.completed_gps <- t.completed_gps + 1;
   t.s_gps_completed <- t.s_gps_completed + 1;
-  (let tr = tracer t in
-   if Trace.enabled tr then begin
-     Trace.emit tr ~time:(now t) ~cpu:(-1) ~arg:t.s_gps_completed
-       Trace.Event.Gp_end;
-     Trace.record_gp_latency tr (now t - t.gp_started_at)
-   end);
+  Sim.Probe.emit (probe t) Gp_end ~cpu:(-1) ~a:0 ~b:t.s_gps_completed;
   let waiting_remain = ref false in
   Array.iter
     (fun pc ->
@@ -270,10 +254,7 @@ let call_rcu_arg t (cpu : Sim.Machine.cpu) fn arg =
      a conservation check across the lists can tell. *)
   if lost then t.s_cbs_lost <- t.s_cbs_lost + 1
   else Cblist.enqueue pc.cbs ~cookie fn arg;
-  (let tr = tracer t in
-   if Trace.enabled tr then
-     Trace.emit tr ~time:(now t) ~cpu:cpu.id ~arg:cookie
-       Trace.Event.Cb_enqueue);
+  Sim.Probe.emit (probe t) Cb_enqueue ~cpu:cpu.id ~a:0 ~b:cookie;
   Sim.Machine.consume cpu t.cfg.enqueue_cost_ns;
   t.pending <- t.pending + 1;
   t.s_cbs_queued <- t.s_cbs_queued + 1;

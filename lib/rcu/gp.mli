@@ -172,7 +172,7 @@ type stall_warning = {
 val stall_warnings : t -> stall_warning list
 (** All stall warnings recorded so far, oldest first. Empty unless
     [config.stall_timeout_ns] is set. Each warning also emits one
-    [Rcu_stall] trace event per holdout CPU when tracing is armed. *)
+    [Rcu_stall] probe edge per holdout CPU. *)
 
 val last_stall : t -> stall_warning option
 (** Newest stall warning, O(1); the missed-QS oracle polls this. *)

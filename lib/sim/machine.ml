@@ -18,7 +18,6 @@ type t = {
   tick : int;
   mutable hooks : (cpu -> unit) list;
   mutable started : bool;
-  mutable tracer : Trace.t;
 }
 
 let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
@@ -47,7 +46,6 @@ let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
     tick = tick_ns;
     hooks = [];
     started = false;
-    tracer = Trace.null;
   }
 
 let engine t = t.engine
@@ -60,15 +58,12 @@ let tick_ns t = t.tick
 
 let on_context_switch t hook = t.hooks <- hook :: t.hooks
 
-let tracer t = t.tracer
-let set_tracer t tracer = t.tracer <- tracer
 let prof t = Engine.prof t.engine
+let emit t edge c = Probe.emit (Engine.probe t.engine) edge ~cpu:c.id ~a:0 ~b:0
 
 let context_switch t c =
   c.ctx_switches <- c.ctx_switches + 1;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Ctx_switch;
+  emit t Ctx_switch c;
   List.iter (fun hook -> hook c) t.hooks
 
 let start t =
@@ -124,12 +119,8 @@ let is_idle c = c.idle
 
 let idle_sleep t c ns =
   c.idle <- true;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Idle_start;
+  emit t Idle_start c;
   run_idle_work c;
   Process.sleep t.engine ns;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Idle_end;
+  emit t Idle_end c;
   c.idle <- false

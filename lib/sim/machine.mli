@@ -63,15 +63,6 @@ val on_context_switch : t -> (cpu -> unit) -> unit
 (** Register a hook invoked at every context switch (tick outside a
     read-side critical section) with the switching CPU. *)
 
-val tracer : t -> Trace.t
-(** The machine's tracer; {!Trace.null} (disabled) unless {!set_tracer}
-    was called. Subsystems running on the machine emit their events
-    through it. *)
-
-val set_tracer : t -> Trace.t -> unit
-(** Install a tracer. The machine emits context-switch and idle-window
-    events; RCU and the allocators emit through the same tracer. *)
-
 val prof : t -> Prof.t
 (** The engine's profiler ({!Engine.prof}). Subsystems running on the
     machine (RCU, the allocators) open their spans through it. *)
@@ -91,4 +82,6 @@ val is_idle : cpu -> bool
 val idle_sleep : t -> cpu -> int -> unit
 (** [idle_sleep t c ns] marks [c] idle, runs queued idle work, suspends the
     calling process for [ns] virtual ns, then marks [c] busy again. Must be
-    called from process context. *)
+    called from process context. The window is reported on the engine's
+    probe as [Idle_start] / [Idle_end]; each context switch as
+    [Ctx_switch]. *)

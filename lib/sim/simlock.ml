@@ -1,5 +1,5 @@
 type t = {
-  lock_name : string;
+  label : int;
   mutable free_at : int;
   mutable acquisitions : int;
   mutable contended : int;
@@ -7,9 +7,9 @@ type t = {
   mutable total_hold : int;
 }
 
-let create ~name =
+let create ~label =
   {
-    lock_name = name;
+    label;
     free_at = 0;
     acquisitions = 0;
     contended = 0;
@@ -17,9 +17,9 @@ let create ~name =
     total_hold = 0;
   }
 
-let name l = l.lock_name
+let label l = l.label
 
-let acquire ~tracer ~cpu l ~now ~hold =
+let acquire l ~now ~hold =
   if hold < 0 then invalid_arg "Simlock.acquire: negative hold";
   let start = if now >= l.free_at then now else l.free_at in
   let wait = start - now in
@@ -28,15 +28,6 @@ let acquire ~tracer ~cpu l ~now ~hold =
   if wait > 0 then l.contended <- l.contended + 1;
   l.total_wait <- l.total_wait + wait;
   l.total_hold <- l.total_hold + hold;
-  if Trace.enabled tracer then begin
-    Trace.emit tracer ~time:now ~cpu ~label:l.lock_name
-      Trace.Event.Lock_acquire;
-    if wait > 0 then begin
-      Trace.emit tracer ~time:now ~cpu ~label:l.lock_name ~arg:wait
-        Trace.Event.Lock_contended;
-      Trace.record_lock_wait tracer wait
-    end
-  end;
   wait + hold
 
 let acquisitions l = l.acquisitions

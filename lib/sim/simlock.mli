@@ -12,22 +12,18 @@
 
 type t
 
-val create : name:string -> t
-(** [create ~name] is a fresh, uncontended lock. [name] labels stats. *)
+val create : label:int -> t
+(** [create ~label] is a fresh, uncontended lock; [label] is its name as
+    a probe label id ({!Probe.intern}), opaque to the lock. *)
 
-val name : t -> string
+val label : t -> int
 
-val acquire : tracer:Trace.t -> cpu:int -> t -> now:int -> hold:int -> int
-(** [acquire ~tracer ~cpu l ~now ~hold] simulates [cpu] acquiring [l] at
-    time [now] and holding it for [hold] ns. Returns the total delay
-    (queueing wait + hold) the caller experiences; 0 wait when
-    uncontended.
-
-    When [tracer] is live, the acquisition emits a lock-acquire event on
-    [cpu] (and a lock-contended event plus a lock-wait histogram sample if
-    it had to wait), labelled with the lock's name. Pass {!Trace.null}
-    otherwise. The labels are not optional: an optional argument would
-    box its value on every acquisition. *)
+val acquire : t -> now:int -> hold:int -> int
+(** [acquire l ~now ~hold] simulates acquiring [l] at time [now] and
+    holding it for [hold] ns. Returns the total delay (queueing wait +
+    hold) the caller experiences; 0 wait when uncontended. Pure: the
+    caller reports the acquisition on the observation bus under
+    {!label}. *)
 
 val acquisitions : t -> int
 (** Total number of acquisitions so far. *)

@@ -20,13 +20,15 @@ type env = {
 
 let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
     buddy =
+  let probe = Sim.Engine.probe (Sim.Machine.engine machine) in
   {
     machine;
     buddy;
     pressure;
     costs;
-    page_lock = Sim.Simlock.create ~name:"page-allocator";
-    probe = Sim.Engine.probe (Sim.Machine.engine machine);
+    page_lock =
+      Sim.Simlock.create ~label:(Sim.Probe.intern probe "page-allocator");
+    probe;
     grow_retry = None;
     debug_checks;
     unsafe_destroy_latent = false;
@@ -66,10 +68,6 @@ type objekt = {
   mutable ostate : ostate;
   mutable gp_cookie : int;
   mutable touched : bool;
-  mutable deferred_at : int;
-      (* Virtual time of the deferred free that last retired this object,
-         -1 when not deferred (or tracing is off): drives the defer->reuse
-         lifetime histogram. *)
 }
 
 and slab = {
@@ -121,6 +119,7 @@ and pcpu = {
 
 and cache = {
   name : string;
+  label : int;  (* [name] interned on the probe *)
   obj_size : int;
   order : int;
   objs_per_slab : int;
@@ -153,11 +152,13 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
   let page_size = Mem.Buddy.page_size env.buddy in
   let order = Size_class.slab_order ~obj_size ~page_size in
   let capacity = Size_class.object_cache_capacity ~obj_size in
+  let intern = Sim.Probe.intern env.probe in
   let nodes =
     Array.init (Sim.Machine.nr_nodes env.machine) (fun nid ->
+        let lock_label = intern (Printf.sprintf "%s/node%d" name nid) in
         {
           nid;
-          lock = Sim.Simlock.create ~name:(Printf.sprintf "%s/node%d" name nid);
+          lock = Sim.Simlock.create ~label:lock_label;
           full = Sim.Dlist.create ();
           partial = Sim.Dlist.create ();
           free_slabs = Sim.Dlist.create ();
@@ -181,6 +182,7 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
   in
   {
     name;
+    label = intern name;
     obj_size;
     order;
     objs_per_slab = Size_class.objs_per_slab ~obj_size ~page_size ~order;
@@ -244,28 +246,27 @@ let fragmentation cache =
 let truly_free slab = slab.free_n = slab.capacity
 
 let now cache = Sim.Engine.now (Sim.Machine.engine cache.env.machine)
-let tracer cache = Sim.Machine.tracer cache.env.machine
 let prof cache = Sim.Machine.prof cache.env.machine
 
-let trace_event cache (cpu : Sim.Machine.cpu) kind =
-  let tr = tracer cache in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name kind
+let emit cache (cpu : Sim.Machine.cpu) edge b =
+  Sim.Probe.emit cache.env.probe edge ~cpu:cpu.id ~a:cache.label ~b
 
-(* [Trace.emit]'s optional [?arg] is only boxed once the tracer is known
-   to be live: refills, flushes and merges call this when tracing is off
-   too. *)
-let trace_event_arg cache (cpu : Sim.Machine.cpu) ~arg kind =
-  let tr = tracer cache in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name ~arg kind
+(* Every simulated lock acquisition in the frame: take [l] and report it,
+   plus the wait when it was busy. Returns the delay without charging it. *)
+let acquire cache (cpu : Sim.Machine.cpu) l ~hold =
+  let delay = Sim.Simlock.acquire l ~now:(now cache) ~hold in
+  let probe = cache.env.probe and label = Sim.Simlock.label l in
+  Sim.Probe.emit probe Lock_acquire ~cpu:cpu.id ~a:label ~b:0;
+  let wait = delay - hold in
+  if wait > 0 then
+    Sim.Probe.emit probe Lock_contended ~cpu:cpu.id ~a:label ~b:wait;
+  delay
 
-let lock_node cache (cpu : Sim.Machine.cpu) node =
-  let delay =
-    Sim.Simlock.acquire ~tracer:(tracer cache) ~cpu:cpu.id node.lock
-      ~now:(now cache) ~hold:cache.env.costs.node_lock_hold
-  in
-  Sim.Machine.consume cpu delay
+let node_lock_delay cache cpu node =
+  acquire cache cpu node.lock ~hold:cache.env.costs.node_lock_hold
+
+let lock_node cache cpu node =
+  Sim.Machine.consume cpu (node_lock_delay cache cpu node)
 
 let lock_pages cache (cpu : Sim.Machine.cpu) =
   let costs = cache.env.costs in
@@ -278,11 +279,7 @@ let lock_pages cache (cpu : Sim.Machine.cpu) =
   let hold =
     costs.page_lock_hold + (costs.page_zero_per_page * pages * max 1 (pages / 2))
   in
-  let delay =
-    Sim.Simlock.acquire ~tracer:(tracer cache) ~cpu:cpu.id cache.env.page_lock
-      ~now:(now cache) ~hold
-  in
-  Sim.Machine.consume cpu delay
+  Sim.Machine.consume cpu (acquire cache cpu cache.env.page_lock ~hold)
 
 let list_of cache ~node_id = cache.nodes.(node_id)
 
@@ -417,12 +414,6 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
       (costs.Costs.cold_touch
       + (cache.obj_size / 256 * costs.Costs.cold_touch_per_256b))
   end;
-  (* deferred_at is only ever set while tracing: close the defer->reuse
-     lifetime sample now that the object is being handed out again. *)
-  if obj.deferred_at >= 0 then begin
-    Trace.record_lifetime (tracer cache) (now cache - obj.deferred_at);
-    obj.deferred_at <- -1
-  end;
   obj.ostate <- Allocated;
   cache.live_objs <- cache.live_objs + 1
 
@@ -440,7 +431,6 @@ let stamp_deferred cache obj ~cookie =
   Sim.Probe.emit cache.env.probe Obj_defer ~cpu:(-1) ~a:obj.oid ~b:cookie;
   assert (obj.ostate = Allocated);
   obj.gp_cookie <- cookie;
-  if Trace.enabled (tracer cache) then obj.deferred_at <- now cache;
   cache.live_objs <- cache.live_objs - 1
 
 let obj_to_latent_cache cache pc obj =
@@ -542,7 +532,7 @@ let rec grow_attempt cache (cpu : Sim.Machine.cpu) ~tries ~backoff =
         when tries < p.max_retries
              && Mem.Buddy.would_satisfy cache.env.buddy ~order:cache.order ->
           Slab_stats.grow_retry cache.stats;
-          trace_event_arg cache cpu ~arg:(tries + 1) Trace.Event.Grow_retry;
+          emit cache cpu Grow_retry (tries + 1);
           Sim.Process.sleep (Sim.Machine.engine cache.env.machine) backoff;
           grow_attempt cache cpu ~tries:(tries + 1) ~backoff:(2 * backoff)
       | _ -> None)
@@ -555,7 +545,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
   in
   match grow_attempt cache cpu ~tries:0 ~backoff with
   | None ->
-      trace_event cache cpu Trace.Event.Oom;
+      emit cache cpu Oom 0;
       None
   | Some block ->
       let env = cache.env in
@@ -590,7 +580,6 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
           ostate = Free_in_slab;
           gp_cookie = 0;
           touched = false;
-          deferred_at = -1;
         }
       in
       (* Objects come off the stack in oid order: the first made is on
@@ -606,7 +595,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
       cache.total_slabs <- cache.total_slabs + 1;
       Slab_stats.set_current_slabs cache.stats cache.total_slabs;
       Slab_stats.grow cache.stats;
-      trace_event_arg cache cpu ~arg:cache.total_slabs Trace.Event.Grow;
+      emit cache cpu Grow cache.total_slabs;
       Sim.Machine.consume cpu env.costs.grow;
       lock_pages cache cpu;
       poll_pressure cache;
@@ -678,8 +667,7 @@ let shrink_node ?keep cache (cpu : Sim.Machine.cpu) node =
       incr destroyed
     end
   done;
-  if !destroyed > 0 then
-    trace_event_arg cache cpu ~arg:!destroyed Trace.Event.Shrink;
+  if !destroyed > 0 then emit cache cpu Shrink !destroyed;
   !destroyed
 
 let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
@@ -705,7 +693,7 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
     done;
     if !moved > 0 then begin
       Slab_stats.refill cache.stats;
-      trace_event_arg cache cpu ~arg:!moved Trace.Event.Refill;
+      emit cache cpu Refill !moved;
       Sim.Machine.consume cpu
         (cache.env.costs.refill + (!moved * cache.env.costs.refill_per_obj))
     end;
@@ -739,7 +727,7 @@ let flush_to_node cache (cpu : Sim.Machine.cpu) ~count =
       ignore (relocate cache obj.parent)
     done;
     Slab_stats.flush cache.stats;
-    trace_event_arg cache cpu ~arg:moved Trace.Event.Flush;
+    emit cache cpu Flush moved;
     Sim.Machine.consume cpu
       (cache.env.costs.flush + (moved * cache.env.costs.flush_per_obj));
     for j = !nt - 1 downto 0 do

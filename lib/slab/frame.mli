@@ -37,7 +37,9 @@ type env = {
           [Obj_pool] (entry to an object cache or slab freelist: the
           reuse boundary a deferred object must not cross before its
           token ripens) and [Obj_page_release] ({!destroy_slab}, once per
-          object still latent on the page — never on a legal destroy). *)
+          object still latent on the page — never on a legal destroy).
+          It also emits the slab events ({!emit}) and every lock
+          acquisition ({!lock_node}). *)
   mutable grow_retry : grow_retry_policy option;
       (** When set, {!grow} retries transient page-alloc failures (those
           {!Mem.Buddy.would_satisfy} proves injected, not genuine
@@ -87,10 +89,6 @@ type objekt = private {
   mutable touched : bool;
       (** Whether a mutator has ever used this object's memory (first
           touch is charged cold-miss cost). *)
-  mutable deferred_at : int;
-      (** Virtual time of the deferred free that retired this object; [-1]
-          when not deferred or tracing is off. {!hand_to_user} closes the
-          defer->reuse lifetime histogram sample from it. *)
 }
 
 and slab = private {
@@ -156,6 +154,7 @@ and pcpu = private {
 
 and cache = private {
   name : string;
+  label : int;  (** [name], interned on the probe. *)
   obj_size : int;
   order : int;
   objs_per_slab : int;
@@ -224,25 +223,17 @@ val fragmentation : cache -> float
 (** Total fragmentation [f_t = allocated bytes / requested bytes] (paper
     §4.2). Returns [nan] when no objects are live. *)
 
-val tracer : cache -> Trace.t
-(** The machine's tracer ({!Trace.null} when tracing is off). *)
-
 val prof : cache -> Prof.t
 (** The machine's profiler ({!Prof.null} when profiling is off). The
     frame opens [slab.grow] / [slab.latq_push] / [slab.latq_harvest]
     spans; backends open the alloc/free/defer spans. *)
 
-val trace_event : cache -> Sim.Machine.cpu -> Trace.Event.kind -> unit
-(** Emit an event labelled with the cache name at the current virtual time
-    on [cpu]; no-op when tracing is off. The frame itself emits refill,
-    flush, grow, shrink, lock and OOM events; allocator policies emit
-    their own (hit/miss, merge, pre-flush, defer). *)
-
-val trace_event_arg :
-  cache -> Sim.Machine.cpu -> arg:int -> Trace.Event.kind -> unit
-(** {!trace_event} with an argument. The argument is not optional: it is
-    boxed for {!Trace.emit} only once the tracer is known to be live, so
-    hot paths pay nothing when tracing is off. *)
+val emit : cache -> Sim.Machine.cpu -> Sim.Probe.edge -> int -> unit
+(** [emit cache cpu edge b] reports an event of this cache on [cpu]: the
+    probe edge with [a] = the cache's label and [b] as given. The frame
+    itself emits refill, flush, grow, grow-retry, shrink and OOM events;
+    allocator policies emit their own (hit/miss, merge, pre-flush, defer,
+    allocation cost). *)
 
 val truly_free : slab -> bool
 (** All objects back on the freelist: the slab's pages may be returned. *)
@@ -253,7 +244,13 @@ val truly_free : slab -> bool
     queueing delay, modelling node-lock contention. *)
 
 val lock_node : cache -> Sim.Machine.cpu -> node -> unit
-(** Charge one lock acquisition (wait + hold) to [cpu]. *)
+(** Charge one lock acquisition (wait + hold) to [cpu]. Every frame lock
+    acquisition, the page lock's included, emits [Lock_acquire] and,
+    when the lock was busy, [Lock_contended] with [b] = the wait. *)
+
+val node_lock_delay : cache -> Sim.Machine.cpu -> node -> int
+(** {!lock_node} without the charge: the delay (wait + hold), for a
+    caller that decides where the time goes. *)
 
 val relocate : cache -> slab -> bool
 (** Place [slab] on the node list its counters dictate. With

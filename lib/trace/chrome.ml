@@ -101,15 +101,15 @@ let add_run w ~pid ~name tracer =
   List.iter
     (fun (e : Event.t) ->
       match e.Event.kind with
-      | Event.Gp_start -> Hashtbl.replace open_gps e.Event.arg e
-      | Event.Gp_end -> (
+      | Sim.Probe.Gp_start -> Hashtbl.replace open_gps e.Event.arg e
+      | Gp_end -> (
           match Hashtbl.find_opt open_gps e.Event.arg with
           | Some start ->
               Hashtbl.remove open_gps e.Event.arg;
               slice ~tid:gp_tid ~name:"grace-period" start e
           | None -> instant ~tid:gp_tid e)
-      | Event.Idle_start -> Hashtbl.replace open_idle e.Event.cpu e
-      | Event.Idle_end -> (
+      | Idle_start -> Hashtbl.replace open_idle e.Event.cpu e
+      | Idle_end -> (
           match Hashtbl.find_opt open_idle e.Event.cpu with
           | Some start ->
               Hashtbl.remove open_idle e.Event.cpu;

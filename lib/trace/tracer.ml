@@ -1,67 +1,61 @@
 type t = {
-  enabled : bool;
+  engine : Sim.Engine.t;
   ncpus : int;
   rings : Event.t Ring.t array;
       (* one ring per CPU plus a final ring for machine-global events
          (cpu = -1): grace-period bookkeeping has no owning CPU. *)
-  lifetime : Hist.t;
   gp_latency : Hist.t;
   lock_wait : Hist.t;
   alloc_cost : Hist.t;
-  mutable sink : (cpu:int -> kind:Event.kind -> unit) option;
-      (* live tap on the event stream, independent of ring retention *)
+  mutable gp_started : int;  (* start of the open grace period; -1 none *)
 }
 
 let default_ring_capacity = 65_536
 
-let create ?(ring_capacity = default_ring_capacity) ~ncpus () =
+let record t kind ~cpu ~a ~b =
+  let time = Sim.Engine.now t.engine in
+  let label, arg =
+    match kind with
+    | Sim.Probe.Gp_start ->
+        t.gp_started <- time;
+        (0, a)
+    | Gp_end ->
+        if t.gp_started >= 0 then
+          Hist.record t.gp_latency (time - t.gp_started);
+        t.gp_started <- -1;
+        (a, b)
+    | Lock_contended ->
+        Hist.record t.lock_wait b;
+        (a, b)
+    | _ -> (a, b)
+  in
+  let ring =
+    if cpu >= 0 && cpu < t.ncpus then t.rings.(cpu) else t.rings.(t.ncpus)
+  in
+  let label = Sim.Probe.label (Sim.Engine.probe t.engine) label in
+  Ring.push ring { Event.time; cpu; kind; label; arg }
+
+let create ?(ring_capacity = default_ring_capacity) ~ncpus engine =
   if ncpus <= 0 then invalid_arg "Tracer.create: ncpus must be positive";
-  {
-    enabled = true;
-    ncpus;
-    rings = Array.init (ncpus + 1) (fun _ -> Ring.create ~capacity:ring_capacity);
-    lifetime = Hist.create ();
-    gp_latency = Hist.create ();
-    lock_wait = Hist.create ();
-    alloc_cost = Hist.create ();
-    sink = None;
-  }
+  let t =
+    {
+      engine;
+      ncpus;
+      rings =
+        Array.init (ncpus + 1) (fun _ -> Ring.create ~capacity:ring_capacity);
+      gp_latency = Hist.create ();
+      lock_wait = Hist.create ();
+      alloc_cost = Hist.create ();
+      gp_started = -1;
+    }
+  in
+  let probe = Sim.Engine.probe engine in
+  Sim.Probe.subscribe probe Event.kinds (record t);
+  Sim.Probe.subscribe probe [ Alloc_cost ] (fun _ ~cpu:_ ~a:_ ~b ->
+      Hist.record t.alloc_cost b);
+  t
 
-let null =
-  {
-    enabled = false;
-    ncpus = 0;
-    rings = [||];
-    lifetime = Hist.create ();
-    gp_latency = Hist.create ();
-    lock_wait = Hist.create ();
-    alloc_cost = Hist.create ();
-    sink = None;
-  }
-
-let enabled t = t.enabled
 let ncpus t = t.ncpus
-
-let set_sink t sink =
-  if not t.enabled then
-    invalid_arg "Tracer.set_sink: cannot attach a sink to the null tracer";
-  t.sink <- sink
-
-let emit t ~time ~cpu ?(label = "") ?(arg = 0) kind =
-  if t.enabled then begin
-    (match t.sink with None -> () | Some f -> f ~cpu ~kind);
-    let ring =
-      if cpu >= 0 && cpu < t.ncpus then t.rings.(cpu) else t.rings.(t.ncpus)
-    in
-    Ring.push ring { Event.time; cpu; kind; label; arg }
-  end
-
-let record_lifetime t ns = if t.enabled then Hist.record t.lifetime ns
-let record_gp_latency t ns = if t.enabled then Hist.record t.gp_latency ns
-let record_lock_wait t ns = if t.enabled then Hist.record t.lock_wait ns
-let record_alloc_cost t ns = if t.enabled then Hist.record t.alloc_cost ns
-
-let lifetime t = t.lifetime
 let gp_latency t = t.gp_latency
 let lock_wait t = t.lock_wait
 let alloc_cost t = t.alloc_cost
@@ -77,10 +71,8 @@ let events t =
     (List.rev all)
 
 let recent_events t ~cpu n =
-  if not t.enabled then []
-  else
-    let idx = if cpu >= 0 && cpu < t.ncpus then cpu else t.ncpus in
-    Ring.recent t.rings.(idx) n
+  let idx = if cpu >= 0 && cpu < t.ncpus then cpu else t.ncpus in
+  Ring.recent t.rings.(idx) n
 
 let total_events t = Array.fold_left (fun acc r -> acc + Ring.length r) 0 t.rings
 let total_dropped t = Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings

@@ -197,7 +197,8 @@ let run_one cfg kind =
     updates = r.Endurance.updates;
     stall_warnings = rcu_stats.Rcu.stall_warnings;
     holdout_cpus = holdouts;
-    gp_p99_ns = Trace.Hist.percentile (Trace.gp_latency env.Env.tracer) 99.;
+    gp_p99_ns =
+      Trace.Hist.percentile (Trace.gp_latency (Option.get env.Env.tracer)) 99.;
     grow_retries = sum (fun s -> s.Slab.Slab_stats.grow_retries);
     emergency_flushes = sum (fun s -> s.Slab.Slab_stats.emergency_flushes);
     emergency_flushed_objs =

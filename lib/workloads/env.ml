@@ -81,7 +81,7 @@ type t = {
   backend : Slab.Backend.t;
   smr : Slab.Smr.t;
   rng : Sim.Rng.t;
-  tracer : Trace.t;
+  tracer : Trace.t option;
   prof : Prof.t;
   obs : Obs.Anatomy.t;
 }
@@ -93,11 +93,10 @@ let build cfg =
       ()
   in
   let tracer =
-    match cfg.trace with
-    | None -> Trace.null
-    | Some ring_capacity -> Trace.create ~ring_capacity ~ncpus:cfg.cpus ()
+    Option.map
+      (fun ring_capacity -> Trace.create ~ring_capacity ~ncpus:cfg.cpus eng)
+      cfg.trace
   in
-  Sim.Machine.set_tracer machine tracer;
   Sim.Engine.set_prof eng cfg.prof;
   Sim.Machine.start machine;
   let buddy = Mem.Buddy.create ~total_pages:cfg.total_pages () in

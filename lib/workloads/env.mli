@@ -41,9 +41,10 @@ type config = {
       (** Arm the premature-reuse safety checker
           ({!Rcu.Readers.watch_reuse}; small overhead). *)
   trace : int option;
-      (** [Some ring_capacity]: install a live {!Trace} tracer on the
-          machine (per-CPU event rings of that capacity + latency
-          histograms). [None] (default): tracing disabled, zero overhead. *)
+      (** [Some ring_capacity]: subscribe a {!Trace} tracer to the
+          engine's probe (per-CPU event rings of that capacity + latency
+          histograms). [None] (default): nothing watches the trace
+          edges, so each emit costs a load and a length test. *)
   prof : Prof.t;
       (** Profiler installed on the engine (the machine and every layer
           on it read it from there) and the buddy allocator;
@@ -78,7 +79,7 @@ type t = {
           configs, where the allocator consumes a corrupted frontier
           and this one stays honest. *)
   rng : Sim.Rng.t;
-  tracer : Trace.t;  (** The machine's tracer; {!Trace.null} when off. *)
+  tracer : Trace.t option;  (** The tracer; [None] unless [cfg.trace]. *)
   prof : Prof.t;  (** The installed profiler; {!Prof.null} when off. *)
   obs : Obs.Anatomy.t;
       (** The anatomy recorder; {!Obs.Anatomy.null} when off. Watches the

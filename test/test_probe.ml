@@ -1,14 +1,9 @@
 (* Sim.Probe: per-edge dispatch, subscription order, the unwatched-edge
-   fast path and [active]. *)
+   fast path, [active] and label interning. *)
 
 module P = Sim.Probe
 
-let every_edge =
-  [
-    P.Obj_alloc; Obj_free; Obj_defer; Obj_pool; Obj_page_release;
-    Reader_hold; Gp_request; Gp_start; Gp_qs; Smr_request; Epoch_scan;
-    Epoch_blocked; Batch_seal; Batch_unref;
-  ]
+let every_edge = P.all
 
 let recorder () =
   let seen = ref [] in
@@ -63,6 +58,17 @@ let test_active () =
         (P.active p e))
     every_edge
 
+let test_intern () =
+  let p = P.create () in
+  let a = P.intern p "kmalloc-64" and b = P.intern p "page-allocator" in
+  Alcotest.(check bool) "distinct names, distinct non-zero ids" true
+    (a > 0 && b > 0 && a <> b);
+  Alcotest.(check int) "same name, same id" a (P.intern p "kmalloc-64");
+  Alcotest.(check int) "empty name is 0" 0 (P.intern p "");
+  Alcotest.(check (list string)) "ids resolve back"
+    [ "kmalloc-64"; "page-allocator"; ""; "" ]
+    (List.map (P.label p) [ a; b; 0; 1_000 ])
+
 let suite =
   [
     Alcotest.test_case "per-edge dispatch" `Quick test_per_edge_dispatch;
@@ -71,4 +77,5 @@ let suite =
     Alcotest.test_case "unwatched edges call no handler" `Quick
       test_unwatched_edges_silent;
     Alcotest.test_case "active" `Quick test_active;
+    Alcotest.test_case "label interning" `Quick test_intern;
   ]

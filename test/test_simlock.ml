@@ -1,19 +1,17 @@
-let acquire = Sim.Simlock.acquire ~tracer:Trace.null ~cpu:0
-
 let test_uncontended () =
-  let l = Sim.Simlock.create ~name:"t" in
-  let d = acquire l ~now:1000 ~hold:50 in
+  let l = Sim.Simlock.create ~label:0 in
+  let d = Sim.Simlock.acquire l ~now:1000 ~hold:50 in
   Alcotest.(check int) "uncontended delay = hold" 50 d;
   Alcotest.(check int) "acquisitions" 1 (Sim.Simlock.acquisitions l);
   Alcotest.(check int) "no contention" 0 (Sim.Simlock.contended l);
   Alcotest.(check int) "no wait" 0 (Sim.Simlock.total_wait_ns l)
 
 let test_contended_serializes () =
-  let l = Sim.Simlock.create ~name:"t" in
+  let l = Sim.Simlock.create ~label:0 in
   (* Two CPUs hit the lock at the same virtual instant. *)
-  let d1 = acquire l ~now:0 ~hold:100 in
-  let d2 = acquire l ~now:0 ~hold:100 in
-  let d3 = acquire l ~now:0 ~hold:100 in
+  let d1 = Sim.Simlock.acquire l ~now:0 ~hold:100 in
+  let d2 = Sim.Simlock.acquire l ~now:0 ~hold:100 in
+  let d3 = Sim.Simlock.acquire l ~now:0 ~hold:100 in
   Alcotest.(check int) "first goes through" 100 d1;
   Alcotest.(check int) "second queues" 200 d2;
   Alcotest.(check int) "third queues more" 300 d3;
@@ -22,26 +20,26 @@ let test_contended_serializes () =
   Alcotest.(check int) "total hold" 300 (Sim.Simlock.total_hold_ns l)
 
 let test_free_after_release () =
-  let l = Sim.Simlock.create ~name:"t" in
-  ignore (acquire l ~now:0 ~hold:100);
-  let d = acquire l ~now:100 ~hold:10 in
+  let l = Sim.Simlock.create ~label:0 in
+  ignore (Sim.Simlock.acquire l ~now:0 ~hold:100);
+  let d = Sim.Simlock.acquire l ~now:100 ~hold:10 in
   Alcotest.(check int) "arriving at release time: no wait" 10 d;
-  let d2 = acquire l ~now:1_000 ~hold:10 in
+  let d2 = Sim.Simlock.acquire l ~now:1_000 ~hold:10 in
   Alcotest.(check int) "later arrival free" 10 d2
 
 let test_reset_stats () =
-  let l = Sim.Simlock.create ~name:"t" in
-  ignore (acquire l ~now:0 ~hold:10);
-  ignore (acquire l ~now:0 ~hold:10);
+  let l = Sim.Simlock.create ~label:0 in
+  ignore (Sim.Simlock.acquire l ~now:0 ~hold:10);
+  ignore (Sim.Simlock.acquire l ~now:0 ~hold:10);
   Sim.Simlock.reset_stats l;
   Alcotest.(check int) "acquisitions reset" 0 (Sim.Simlock.acquisitions l);
   Alcotest.(check int) "wait reset" 0 (Sim.Simlock.total_wait_ns l)
 
 let test_negative_hold_rejected () =
-  let l = Sim.Simlock.create ~name:"t" in
+  let l = Sim.Simlock.create ~label:0 in
   Alcotest.check_raises "negative hold"
     (Invalid_argument "Simlock.acquire: negative hold") (fun () ->
-      ignore (acquire l ~now:0 ~hold:(-5)))
+      ignore (Sim.Simlock.acquire l ~now:0 ~hold:(-5)))
 
 let prop_waits_are_work_conserving =
   QCheck.Test.make ~name:"lock is work-conserving and FIFO by arrival"
@@ -50,11 +48,11 @@ let prop_waits_are_work_conserving =
     (fun arrivals ->
       (* Arrivals sorted by time (simulation delivers them in order). *)
       let arrivals = List.sort compare arrivals in
-      let l = Sim.Simlock.create ~name:"p" in
+      let l = Sim.Simlock.create ~label:0 in
       let busy_until = ref 0 in
       List.for_all
         (fun (now, hold) ->
-          let d = acquire l ~now ~hold in
+          let d = Sim.Simlock.acquire l ~now ~hold in
           let start = max now !busy_until in
           let expect = start + hold - now in
           busy_until := start + hold;

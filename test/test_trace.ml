@@ -1,6 +1,6 @@
-(* The trace library: bounded rings, HDR histograms, the null sink,
-   Chrome export well-formedness, and a traced mini-run whose grace
-   periods must pair up in virtual-time order. *)
+(* The trace library: bounded rings, HDR histograms, the tracer as a
+   probe subscriber, Chrome export well-formedness, and a traced mini-run
+   whose grace periods must pair up in virtual-time order. *)
 
 (* ---------------- ring buffer ---------------- *)
 
@@ -139,25 +139,66 @@ let prop_ring_rev_recent_model =
              = List.filteri (fun i _ -> i >= List.length kept - keep) kept)
            [ -1; 0; 1; (cap / 2) + 1; cap; cap + 3 ])
 
-(* ---------------- null sink ---------------- *)
+(* ---------------- the tracer on the bus ---------------- *)
 
-let test_null_sink () =
-  Alcotest.(check bool) "disabled" false (Trace.enabled Trace.null);
-  Trace.emit Trace.null ~time:1 ~cpu:0 Trace.Event.Alloc_hit;
-  Trace.record_lifetime Trace.null 42;
-  Alcotest.(check int) "no events" 0 (Trace.total_events Trace.null);
-  Alcotest.(check int) "no samples" 0
-    (Trace.Hist.count (Trace.lifetime Trace.null))
+(* Emit [(time, edge, cpu, a, b)] on the engine's probe, each at its
+   virtual time. *)
+let emit_at eng events =
+  let probe = Sim.Engine.probe eng in
+  List.iter
+    (fun (time, e, cpu, a, b) ->
+      ignore
+        (Sim.Engine.schedule_at eng ~time (fun () ->
+             Sim.Probe.emit probe e ~cpu ~a ~b)))
+    events;
+  Sim.Engine.run eng
+
+let test_edge_kind_map () =
+  Alcotest.(check (list int)) "trace kinds are indices 0..23, in order"
+    (List.init Trace.Event.kind_count Fun.id)
+    (List.map Trace.Event.index Trace.Event.kinds);
+  Alcotest.(check int) "Alloc_cost is no trace kind" (-1)
+    (Trace.Event.index Sim.Probe.Alloc_cost);
+  Alcotest.(check string) "names follow the index" "gp-start"
+    (Trace.Event.kind_name Sim.Probe.Gp_start)
 
 let test_emit_merge_order () =
-  let tr = Trace.create ~ring_capacity:8 ~ncpus:2 () in
-  Trace.emit tr ~time:30 ~cpu:1 Trace.Event.Alloc_hit;
-  Trace.emit tr ~time:10 ~cpu:0 Trace.Event.Alloc_miss;
-  Trace.emit tr ~time:20 ~cpu:(-1) ~arg:7 Trace.Event.Gp_start;
-  let times = List.map (fun (e : Trace.Event.t) -> e.Trace.Event.time)
-      (Trace.events tr) in
-  Alcotest.(check (list int)) "merged by time" [ 10; 20; 30 ] times;
+  let eng = Sim.Engine.create () in
+  let tr = Trace.create ~ring_capacity:8 ~ncpus:2 eng in
+  let cache = Sim.Probe.intern (Sim.Engine.probe eng) "kmalloc-64" in
+  emit_at eng
+    [
+      (10, Sim.Probe.Alloc_miss, 1, cache, 0);
+      (20, Gp_start, -1, 7, 0);
+      (30, Alloc_hit, 0, cache, 0);
+      (40, Alloc_cost, 0, cache, 99);
+      (50, Obj_alloc, 0, 1, 0);
+    ];
+  let evs = Trace.events tr in
+  Alcotest.(check (list int)) "merged by time, non-trace edges skipped"
+    [ 10; 20; 30 ]
+    (List.map (fun (e : Trace.Event.t) -> e.Trace.Event.time) evs);
+  Alcotest.(check (list (pair string int)))
+    "labels resolved; Gp_start's arg is a"
+    [ ("kmalloc-64", 0); ("", 7); ("kmalloc-64", 0) ]
+    (List.map (fun (e : Trace.Event.t) -> Trace.Event.(e.label, e.arg)) evs);
+  Alcotest.(check int) "alloc cost sampled" 1
+    (Trace.Hist.count (Trace.alloc_cost tr));
   Alcotest.(check int) "total" 3 (Trace.total_events tr)
+
+let test_histograms_from_edges () =
+  let eng = Sim.Engine.create () in
+  let tr = Trace.create ~ncpus:1 eng in
+  emit_at eng
+    [
+      (100, Sim.Probe.Gp_start, -1, 1, 0);
+      (350, Lock_contended, 0, 0, 40);
+      (600, Gp_end, -1, 0, 1);
+    ];
+  Alcotest.(check int) "gp latency = end - start" 500
+    (Trace.Hist.max_value (Trace.gp_latency tr));
+  Alcotest.(check int) "lock wait = Lock_contended's b" 40
+    (Trace.Hist.max_value (Trace.lock_wait tr))
 
 (* ---------------- traced mini-run ---------------- *)
 
@@ -173,6 +214,18 @@ let traced_runs = lazy (
   | Some runs -> runs
   | None -> Alcotest.fail "fig6 not traceable")
 
+(* [(allocator, tracer)], the Chrome exporter's input. *)
+let tracers () =
+  List.map
+    (fun r -> Core.Experiments.(r.label, r.tracer))
+    (Lazy.force traced_runs)
+
+let lifetime label =
+  (List.find
+     (fun r -> r.Core.Experiments.label = label)
+     (Lazy.force traced_runs))
+    .Core.Experiments.lifetime
+
 (* Grace periods are strictly sequential: starts and ends must alternate,
    every end matches the latest start's cookie, and virtual time never
    goes backwards across the pairs. *)
@@ -182,8 +235,8 @@ let test_gp_pairs_nest () =
       let gps =
         List.filter
           (fun (e : Trace.Event.t) ->
-            e.Trace.Event.kind = Trace.Event.Gp_start
-            || e.Trace.Event.kind = Trace.Event.Gp_end)
+            e.Trace.Event.kind = Sim.Probe.Gp_start
+            || e.Trace.Event.kind = Gp_end)
           (Trace.events tr)
       in
       Alcotest.(check bool) (label ^ " saw grace periods") true
@@ -197,25 +250,24 @@ let test_gp_pairs_nest () =
             (e.Trace.Event.time >= !last_time);
           last_time := e.Trace.Event.time;
           match (e.Trace.Event.kind, !open_gp) with
-          | Trace.Event.Gp_start, None ->
+          | Sim.Probe.Gp_start, None ->
               open_gp := Some e.Trace.Event.arg
-          | Trace.Event.Gp_start, Some _ ->
+          | Gp_start, Some _ ->
               Alcotest.failf "%s: nested Gp_start at %d" label
                 e.Trace.Event.time
-          | Trace.Event.Gp_end, Some seq ->
+          | Gp_end, Some seq ->
               Alcotest.(check int) (label ^ " end matches start") seq
                 e.Trace.Event.arg;
               open_gp := None
-          | Trace.Event.Gp_end, None ->
+          | Gp_end, None ->
               Alcotest.failf "%s: Gp_end without start at %d" label
                 e.Trace.Event.time
           | _ -> ())
         gps)
-    (Lazy.force traced_runs)
+    (tracers ())
 
 let test_traced_lifetimes () =
-  let runs = Lazy.force traced_runs in
-  let hist label = Trace.lifetime (List.assoc label runs) in
+  let hist = lifetime in
   Alcotest.(check bool) "prudence reuses deferred objects" true
     (Trace.Hist.count (hist "prudence") > 0);
   (* The headline acceptance shape: deferred objects wait longer under
@@ -225,17 +277,107 @@ let test_traced_lifetimes () =
       (Trace.Hist.percentile (hist "slub") 50.
       >= Trace.Hist.percentile (hist "prudence") 50.)
 
-let test_tracing_is_pure_observation () =
-  (* Same experiment, tracing on vs off: virtual results must be bit-
-     identical (tracing charges no virtual time). *)
-  let run trace =
-    let p = { tiny with Core.Experiments.trace } in
-    let slub, prud = Core.Experiments.microbench_pair p ~obj_size:512 in
-    ( slub.Workloads.Microbench.pairs_per_sec,
-      prud.Workloads.Microbench.pairs_per_sec )
+(* Everything deterministic a microbench run leaves behind: dispatched
+   events, the final clock, the loop's virtual duration, every cache's
+   counters and RCU's. *)
+let run_snapshot kind ~observed =
+  let module E = Workloads.Env in
+  let env =
+    E.build
+      {
+        E.default_config with
+        E.kind;
+        cpus = 2;
+        trace = (if observed then Some 1_024 else None);
+        obs = observed;
+      }
   in
-  let off = run None and on_ = run (Some 1024) in
-  Alcotest.(check (pair (float 0.) (float 0.))) "identical results" off on_
+  let probe = Sim.Engine.probe env.E.eng in
+  if not observed then
+    List.iter
+      (fun e ->
+        Alcotest.(check bool)
+          ("untraced env watches no " ^ Trace.Event.kind_name e)
+          false (Sim.Probe.active probe e))
+      Trace.Event.kinds;
+  let r =
+    Workloads.Microbench.run env
+      { Workloads.Microbench.default_config with pairs_per_cpu = 1_800 }
+  in
+  let caches = ref [] in
+  env.E.backend.Slab.Backend.iter_caches (fun c ->
+      caches :=
+        (c.Slab.Frame.name, Slab.Slab_stats.snapshot c.Slab.Frame.stats)
+        :: !caches);
+  ( (Sim.Engine.executed env.E.eng, Sim.Engine.now env.E.eng),
+    ( r.Workloads.Microbench.duration_ns,
+      !caches,
+      Rcu.stats env.E.rcu,
+      r.Workloads.Microbench.pairs ) )
+
+let test_tracing_is_pure_observation () =
+  (* Tracer and anatomy recorder on vs off: the run must be identical
+     (observers charge no virtual time and schedule nothing). *)
+  List.iter
+    (fun kind ->
+      let label = Workloads.Env.kind_label kind in
+      let (ev_off, clock_off), rest_off = run_snapshot kind ~observed:false in
+      let (ev_on, clock_on), rest_on = run_snapshot kind ~observed:true in
+      Alcotest.(check int) (label ^ " dispatched events") ev_off ev_on;
+      Alcotest.(check int) (label ^ " final clock") clock_off clock_on;
+      Alcotest.(check bool) (label ^ " duration, cache and RCU counters")
+        true (rest_off = rest_on))
+    [ Workloads.Env.Baseline; Workloads.Env.Prudence_alloc ]
+
+(* ---------------- pinned outputs ---------------- *)
+
+(* Recorded before the trace kinds moved onto the observation bus: the
+   export's bytes, the four histograms and one tournament cell must not
+   move when the plumbing under them changes. *)
+let hist_summary h =
+  Trace.Hist.
+    (count h, sum h, percentile h 50., percentile h 99.)
+
+let test_pinned_outputs () =
+  let runs = tracers () in
+  Alcotest.(check string) "chrome export digest"
+    "d912fcbd0c1e0d6b3118c8b87883aa39"
+    (Digest.to_hex (Digest.string (Trace.Chrome.to_string runs)));
+  let quad = Alcotest.(pair (pair int int) (pair int int)) in
+  let pin label name h (c, s, p50, p99) =
+    let c', s', p50', p99' = hist_summary h in
+    Alcotest.check quad (label ^ " " ^ name) ((c, s), (p50, p99))
+      ((c', s'), (p50', p99'))
+  in
+  List.iter
+    (fun (label, life, gp, lock, alloc) ->
+      let tr = List.assoc label runs in
+      pin label "lifetime" (lifetime label) life;
+      pin label "gp latency" (Trace.gp_latency tr) gp;
+      pin label "lock wait" (Trace.lock_wait tr) lock;
+      pin label "alloc cost" (Trace.alloc_cost tr) alloc)
+    [
+      ( "slub",
+        (1, 627_532, 627_532, 627_532),
+        (4, 1_125_000, 250_000, 360_448),
+        (651, 68_800, 60, 216),
+        (3_600, 643_300, 128, 800) );
+      ( "prudence",
+        (467, 285_918_471, 589_824, 622_592),
+        (4, 1_125_000, 250_000, 360_448),
+        (618, 51_100, 60, 176),
+        (3_600, 573_148, 128, 672) );
+    ];
+  match
+    Core.Tournament.run ~kinds:[ Workloads.Env.Prudence_alloc ]
+      { Core.Chaos.default_params with Core.Chaos.scale = 0.05; cpus = 4 }
+      [ Workloads.Chaos.Clean ]
+  with
+  | [ c ] ->
+      Alcotest.(check (list (option int))) "tournament clean/prudence"
+        [ Some 7_602_176; Some 19_922_944; Some 1_000_000 ]
+        Core.Tournament.[ c.reuse_p50_ns; c.reuse_p99_ns; c.gp_p99_ns ]
+  | _ -> Alcotest.fail "expected one tournament cell"
 
 (* ---------------- Chrome export ---------------- *)
 
@@ -268,7 +410,7 @@ let contains ~sub s =
   go 0
 
 let test_chrome_export () =
-  let json = Trace.Chrome.to_string (Lazy.force traced_runs) in
+  let json = Trace.Chrome.to_string (tracers ()) in
   Alcotest.(check bool) "balanced" true (json_balanced json);
   Alcotest.(check bool) "traceEvents" true (contains ~sub:"\"traceEvents\"" json);
   Alcotest.(check bool) "metadata" true (contains ~sub:"process_name" json);
@@ -276,8 +418,10 @@ let test_chrome_export () =
   Alcotest.(check bool) "instants" true (contains ~sub:"\"ph\":\"i\"" json)
 
 let test_chrome_escape () =
-  let tr = Trace.create ~ring_capacity:8 ~ncpus:1 () in
-  Trace.emit tr ~time:1 ~cpu:0 ~label:"we\"ird\\cache\n" Trace.Event.Alloc_hit;
+  let eng = Sim.Engine.create () in
+  let tr = Trace.create ~ring_capacity:8 ~ncpus:1 eng in
+  let weird = Sim.Probe.intern (Sim.Engine.probe eng) "we\"ird\\cache\n" in
+  emit_at eng [ (1, Sim.Probe.Alloc_hit, 0, weird, 0) ];
   let json = Trace.Chrome.to_string [ ("r", tr) ] in
   Alcotest.(check bool) "escaped label balanced" true (json_balanced json)
 
@@ -315,15 +459,19 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_roundtrip;
     QCheck_alcotest.to_alcotest prop_hist_percentile_monotonic;
     QCheck_alcotest.to_alcotest prop_hist_mean_bounded;
-    Alcotest.test_case "null sink is inert" `Quick test_null_sink;
+    Alcotest.test_case "edge-to-kind map" `Quick test_edge_kind_map;
     Alcotest.test_case "emit: events merge in time order" `Quick
       test_emit_merge_order;
+    Alcotest.test_case "histograms from edges" `Quick
+      test_histograms_from_edges;
     Alcotest.test_case "traced run: GP start/end pairs nest" `Slow
       test_gp_pairs_nest;
     Alcotest.test_case "traced run: lifetime histograms populated" `Slow
       test_traced_lifetimes;
     Alcotest.test_case "tracing is pure observation" `Slow
       test_tracing_is_pure_observation;
+    Alcotest.test_case "pinned: export digest, histograms, tournament cell"
+      `Slow test_pinned_outputs;
     Alcotest.test_case "chrome: export is well-formed" `Slow test_chrome_export;
     Alcotest.test_case "chrome: labels escaped" `Quick test_chrome_escape;
     Alcotest.test_case "histview: renders summary and bars" `Quick

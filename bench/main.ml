@@ -1,14 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (one section per artifact), then runs Bechamel real-time
-   microbenchmarks of the allocator hot paths.
+   evaluation (one section per artifact). Host-time measurement lives in
+   perfbench/ (`python3 perfbench/run.py`); the fig6 defer->reuse
+   lifetime histograms are `prudence-repro trace fig6 --hist`.
 
    Scale via environment:
      BENCH_SCALE=0.3  -- workload scale factor (default 1.0)
      BENCH_CPUS=8     -- simulated CPUs
      BENCH_SEED=42
      BENCH_RUNS=1     -- repetitions for mean +/- stdev
-     BENCH_SKIP_BECHAMEL=1 -- skip the real-time section
-     BENCH_SKIP_TRACE=1 -- skip the traced lifetime-histogram section
      BENCH_OUT=path   -- machine-readable results file (default
                          BENCH_seed.json); virtual-time metrics only, so
                          the file is deterministic in (seed, scale, cpus,
@@ -62,134 +61,6 @@ let write_bench_json () =
   B.write_file out doc;
   Format.printf "wrote %s (%d metrics)@." out (List.length doc.B.metrics)
 
-(* ------------------------------------------------------------------ *)
-(* Traced rerun: defer->reuse lifetime histograms, SLUB vs Prudence.   *)
-(* ------------------------------------------------------------------ *)
-
-let trace_section () =
-  Format.printf
-    "==============================================================================@.";
-  Format.printf
-    "[TRACE] Deferred-object lifetime (defer -> reuse), fig6 microbenchmark@.";
-  Format.printf
-    "==============================================================================@.";
-  let t0 = Unix.gettimeofday () in
-  match Core.Experiments.run_traced params "fig6" with
-  | None -> assert false
-  | Some runs ->
-      List.iter
-        (fun { Core.Experiments.label; lifetime; _ } ->
-          Format.printf "%s@."
-            (Core.Metrics.Histview.render
-               ~title:(label ^ " defer->reuse lifetime")
-               lifetime))
-        runs;
-      Format.printf "(section trace took %.1fs of real time)@.@."
-        (Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: real (wall-clock) cost of the allocator hot paths.        *)
-(* ------------------------------------------------------------------ *)
-
-let make_slub_pair () =
-  let env =
-    Workloads.Env.build
-      { Workloads.Env.default_config with Workloads.Env.cpus = 1 }
-  in
-  let cache =
-    env.Workloads.Env.backend.Slab.Backend.create_cache ~name:"bench"
-      ~obj_size:512
-  in
-  let cpu = Workloads.Env.cpu env 0 in
-  let backend = env.Workloads.Env.backend in
-  fun () ->
-    match backend.Slab.Backend.alloc cache cpu with
-    | Some obj -> backend.Slab.Backend.free cache cpu obj
-    | None -> failwith "oom"
-
-let make_prudence_pair () =
-  let env =
-    Workloads.Env.build
-      {
-        Workloads.Env.default_config with
-        Workloads.Env.cpus = 1;
-        kind = Workloads.Env.Prudence_alloc;
-      }
-  in
-  let cache =
-    env.Workloads.Env.backend.Slab.Backend.create_cache ~name:"bench"
-      ~obj_size:512
-  in
-  let cpu = Workloads.Env.cpu env 0 in
-  let backend = env.Workloads.Env.backend in
-  fun () ->
-    match backend.Slab.Backend.alloc cache cpu with
-    | Some obj -> backend.Slab.Backend.free cache cpu obj
-    | None -> failwith "oom"
-
-let make_engine_event () =
-  let eng = Sim.Engine.create () in
-  fun () ->
-    ignore (Sim.Engine.schedule eng ~after:1 (fun () -> ()));
-    ignore (Sim.Engine.step eng)
-
-let make_rng () =
-  let rng = Sim.Rng.create ~seed:7 in
-  fun () -> ignore (Sim.Rng.int rng 1024)
-
-let make_heap_churn () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  let rng = Sim.Rng.create ~seed:9 in
-  for _ = 1 to 256 do
-    Sim.Heap.push h (Sim.Rng.int rng 100000)
-  done;
-  fun () ->
-    Sim.Heap.push h (Sim.Rng.int rng 100000);
-    ignore (Sim.Heap.pop h)
-
-let bechamel_section () =
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"hot-paths"
-      [
-        Test.make ~name:"slub alloc/free pair (real time)"
-          (Staged.stage (make_slub_pair ()));
-        Test.make ~name:"prudence alloc/free pair (real time)"
-          (Staged.stage (make_prudence_pair ()));
-        Test.make ~name:"engine schedule+dispatch"
-          (Staged.stage (make_engine_event ()));
-        Test.make ~name:"rng draw" (Staged.stage (make_rng ()));
-        Test.make ~name:"event-heap push+pop (256 live)"
-          (Staged.stage (make_heap_churn ()));
-      ]
-  in
-  Format.printf
-    "==============================================================================@.";
-  Format.printf "[BECHAMEL] Real-time cost of simulator hot paths@.";
-  Format.printf
-    "==============================================================================@.";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun label result_tbl ->
-      if label = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name result ->
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> Format.printf "  %-50s %8.1f ns/run@." name est
-            | _ -> Format.printf "  %-50s (no estimate)@." name)
-          result_tbl)
-    results
-
 let () =
   Format.printf
     "Prudence reproduction benchmark harness (scale=%.2f cpus=%d seed=%d \
@@ -199,7 +70,5 @@ let () =
   List.iter
     (fun (e : Core.Experiments.experiment) -> section e.Core.Experiments.id)
     Core.Experiments.all;
-  if Sys.getenv_opt "BENCH_SKIP_TRACE" = None then trace_section ();
-  if Sys.getenv_opt "BENCH_SKIP_BECHAMEL" = None then bechamel_section ();
   write_bench_json ();
   Format.printf "@.done.@."

@@ -1,27 +1,19 @@
-(* Wall-clock throughput harness (the `perf` subcommand).
+(* Behaviour gate over pinned scenarios (the `perf` subcommand).
 
-   Every other BENCH metric is virtual-time only: it says what the
-   simulated system did, never how fast the simulator itself did it.
-   This harness times pinned scenarios on the wall clock and reports
-   events per second, simulated nanoseconds per wall millisecond, and
-   words allocated per simulated operation.
-
-   Two kinds of fields come out of a run:
+   Four scenarios run under both allocators and export two kinds of
+   rows:
 
    - deterministic counters (executed events, simulated time, workload
      updates, slab alloc/free/deferred-free counts, grace periods) —
      functions of the seed alone, gated byte-identical in CI via the
      [Exact] metric direction;
-   - wall-clock readings (seconds, derived rates, GC words) — machine-
-     dependent, exported as [Info] so they are tracked but never gate;
    - allocs-per-event — replay-stable for a given compiler but not
      byte-exact across toolchains, gated [Lower_better] with a slack
      tolerance so an accidental allocation regression in a hot path
      fails CI while codegen drift does not.
 
-   With --runs > 1 each scenario repeats in-process; the deterministic
-   counters must agree across repetitions (a loud failure otherwise)
-   and the smallest wall time wins, minimising scheduler noise. *)
+   Host time is not measured here: perfbench/ (`python3 perfbench/run.py`)
+   is the one host-time benchmark. *)
 
 module W = Workloads
 module R = Metrics.Report
@@ -44,9 +36,9 @@ let scenario_of_string = function
   | "check" -> Some Check
   | _ -> None
 
-type params = { scale : float; seed : int; cpus : int; runs : int }
+type params = { scale : float; seed : int; cpus : int }
 
-let default_params = { scale = 1.0; seed = 42; cpus = 8; runs = 1 }
+let default_params = { scale = 1.0; seed = 42; cpus = 8 }
 
 (* The throttled-callback RCU config of the Fig. 3 endurance family
    (lib/core/experiments.ml): the regime where deferred frees pile up,
@@ -64,8 +56,9 @@ let scaled_ns scale ns = max 1 (int_of_float (float_of_int ns *. scale))
 
 (* One run of a pinned scenario. Returns the environment (for post-run
    counter extraction) and the workload's update count. [prof] installs a
-   profiler on the run's stack (the `prof` subcommand); the default null
-   profiler keeps benchmark runs instrumentation-free. *)
+   profiler on the run's stack (test/test_prof.ml checks that doing so
+   leaves the counters alone); the default null profiler keeps gate runs
+   instrumentation-free. *)
 let run_once ?(prof = Prof.null) p scenario kind =
   match scenario with
   | Endurance ->
@@ -208,68 +201,29 @@ let counters_of env updates =
 type measurement = {
   scenario : scenario;
   alloc_label : string;  (** "slub" / "prudence". *)
-  wall_s : float;  (** Best (minimum) wall time over the runs. *)
-  minor_words : float;  (** GC minor-heap words allocated (first run). *)
-  top_heap_words : int;  (** Process-wide major-heap peak so far. *)
+  minor_words : float;  (** GC minor-heap words allocated by the run. *)
   c : counters;
 }
 
 let measure p scenario kind =
-  let det = ref None in
-  let best_wall = ref infinity in
-  let minor = ref 0. in
-  for run = 1 to max 1 p.runs do
-    Gc.compact ();
-    let w0 = Unix.gettimeofday () in
-    let m0 = Gc.minor_words () in
-    let env, updates = run_once p scenario kind in
-    let m1 = Gc.minor_words () in
-    let w1 = Unix.gettimeofday () in
-    let c = counters_of env updates in
-    (match !det with
-    | None ->
-        det := Some c;
-        minor := m1 -. m0
-    | Some prev ->
-        if prev <> c then
-          failwith
-            (Printf.sprintf
-               "wallclock: deterministic counters changed on %s/%s run %d \
-                (simulation is not replay-stable)"
-               (scenario_name scenario)
-               (W.Env.kind_label kind) run));
-    if w1 -. w0 < !best_wall then best_wall := w1 -. w0
-  done;
+  let m0 = Gc.minor_words () in
+  let env, updates = run_once p scenario kind in
+  let minor_words = Gc.minor_words () -. m0 in
   {
     scenario;
     alloc_label = W.Env.kind_label kind;
-    wall_s = !best_wall;
-    minor_words = !minor;
-    top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    c = Option.get !det;
+    minor_words;
+    c = counters_of env updates;
   }
-
-let events_per_sec m =
-  if m.wall_s <= 0. then 0. else float_of_int m.c.events /. m.wall_s
-
-let sim_ns_per_wall_ms m =
-  if m.wall_s <= 0. then 0.
-  else float_of_int m.c.sim_ns /. (m.wall_s *. 1e3)
-
-let words_per_update m =
-  if m.c.updates = 0 then 0. else m.minor_words /. float_of_int m.c.updates
 
 (* The §6-style overhead figure: simulator minor-heap words allocated per
    engine event. The event count is deterministic and the allocation
-   profile is replay-stable for a given compiler, so unlike the wall
-   readings this gates — Lower_better with slack for codegen drift across
-   compiler point releases. *)
+   profile is replay-stable for a given compiler, so it gates —
+   Lower_better with slack for codegen drift across compiler point
+   releases. *)
 let allocs_per_event m =
   if m.c.events = 0 then 0. else m.minor_words /. float_of_int m.c.events
 
-(* 15% historically; tightened to 10% once the timer-wheel scheduler's
-   allocation-free hot path cut the steady-state figure (the per-event
-   heap record is gone, so there is headroom below the baseline). *)
 let allocs_per_event_tolerance_pct = 10.
 
 let run_all ?(scenarios = all_scenarios) p =
@@ -285,22 +239,14 @@ let table ms =
     [
       scenario_name m.scenario;
       m.alloc_label;
-      Printf.sprintf "%.1f" (m.wall_s *. 1e3);
       T.fmt_i m.c.events;
-      T.fmt_i (int_of_float (events_per_sec m));
-      T.fmt_i (int_of_float (sim_ns_per_wall_ms m));
       T.fmt_i m.c.updates;
-      Printf.sprintf "%.0f" (words_per_update m);
       Printf.sprintf "%.1f" (allocs_per_event m);
       T.fmt_i m.c.gps;
     ]
   in
   T.render
-    ~header:
-      [
-        "scenario"; "alloc"; "wall ms"; "events"; "events/s";
-        "sim-ns/wall-ms"; "updates"; "words/update"; "words/event"; "GPs";
-      ]
+    ~header:[ "scenario"; "alloc"; "events"; "updates"; "words/event"; "GPs" ]
     (List.map row ms)
 
 let metrics ms =
@@ -313,11 +259,6 @@ let metrics ms =
       let exact name v =
         R.metric ~direction:R.Exact ~tolerance_pct:0. (pre ^ "." ^ name) v
       in
-      let info name v = R.metric ~direction:R.Info (pre ^ "." ^ name) v in
-      let gated_lower name tol v =
-        R.metric ~direction:R.Lower_better ~tolerance_pct:tol
-          (pre ^ "." ^ name) v
-      in
       [
         exact "events" (float_of_int m.c.events);
         exact "sim_ns" (float_of_int m.c.sim_ns);
@@ -326,14 +267,9 @@ let metrics ms =
         exact "frees" (float_of_int m.c.frees);
         exact "deferred_frees" (float_of_int m.c.deferred_frees);
         exact "gps" (float_of_int m.c.gps);
-        gated_lower "allocs_per_event" allocs_per_event_tolerance_pct
-          (allocs_per_event m);
-        info "wall_ms" (m.wall_s *. 1e3);
-        info "events_per_sec" (events_per_sec m);
-        info "sim_ns_per_wall_ms" (sim_ns_per_wall_ms m);
-        info "minor_words" m.minor_words;
-        info "words_per_update" (words_per_update m);
-        info "top_heap_words" (float_of_int m.top_heap_words);
+        R.metric ~direction:R.Lower_better
+          ~tolerance_pct:allocs_per_event_tolerance_pct
+          (pre ^ ".allocs_per_event") (allocs_per_event m);
       ])
     ms
 
@@ -344,6 +280,6 @@ let to_bench p ms =
         Stats.Bench_json.seed = p.seed;
         scale = p.scale;
         cpus = p.cpus;
-        runs = p.runs;
+        runs = 1;
       }
     ~metrics:(metrics ms)

@@ -349,61 +349,18 @@ let run_regress baseline_file current_file tolerance json =
         1
       end
 
-let wallclock_params p =
-  {
-    Wallclock.scale = p.Core.Experiments.scale;
-    seed = p.Core.Experiments.seed;
-    cpus = p.Core.Experiments.cpus;
-    runs = p.Core.Experiments.runs;
-  }
-
-let run_perf names out p =
+let run_perf names out scale seed cpus =
   let module Wc = Wallclock in
+  require_positive "--cpus" cpus;
   let scenarios = parse_perf_scenarios names in
-  let wp = wallclock_params p in
+  let wp = { Wc.scale; seed; cpus } in
   let ms = Wc.run_all ~scenarios wp in
   Format.printf "%s@." (Wc.table ms);
   Core.Stats.Bench_json.write_file out (Wc.to_bench wp ms);
   Format.printf
-    "wrote %s (deterministic counters gate via `regress --tolerance-pct 0`; \
-     wall timings are info-only)@."
+    "wrote %s (gate it with `regress --baseline bench/BENCH_wallclock.json`; \
+     host time is perfbench's: python3 perfbench/run.py)@."
     out;
-  0
-
-let run_prof names top by folded json p =
-  let module Pr = Profrun in
-  if top < 0 then begin
-    Format.eprintf "--top must be non-negative (got %d)@." top;
-    exit 2
-  end;
-  let by =
-    match Pr.sort_key_of_string by with
-    | Some k -> k
-    | None ->
-        Format.eprintf "unknown sort key %S (time, alloc)@." by;
-        exit 2
-  in
-  let scenarios = parse_perf_scenarios names in
-  let rs = Pr.run_all ~scenarios (wallclock_params p) in
-  if json then print_string (Pr.to_ndjson rs)
-  else
-    List.iter
-      (fun r ->
-        let top = if top = 0 then None else Some top in
-        Format.printf "%s@." (Pr.render ?top ~by r))
-      rs;
-  (match folded with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> List.iter (fun r -> output_string oc (Pr.folded ~by r)) rs);
-      if not json then
-        Format.printf
-          "wrote %s (folded call paths; feed to flamegraph.pl or \
-           speedscope)@."
-          file);
   0
 
 let parse_mutation mutate =
@@ -871,7 +828,7 @@ let chaos_scenarios_doc =
    or 'all' (default)."
 
 let perf_scenarios_doc =
-  "Scenarios (endurance, fig3, chaos-clean) or 'all' (default)."
+  "Scenarios (endurance, fig3, chaos-clean, check) or 'all' (default)."
 
 (* The ten options check and fuzz share, with one set of defaults. *)
 let sweep_base_term =
@@ -1248,7 +1205,7 @@ let stat_cmd =
 let perf_cmd =
   let names = scenarios_arg perf_scenarios_doc in
   let out =
-    let doc = "Output file for the wall-clock benchmark JSON." in
+    let doc = "Output file for the behaviour-gate JSON." in
     Arg.(
       value
       & opt string "BENCH_wallclock.json"
@@ -1257,49 +1214,13 @@ let perf_cmd =
   Cmd.v
     (Cmd.info "perf"
        ~doc:
-         "Wall-clock throughput benchmark: time pinned scenarios (fig3, \
-          chaos clean, endurance) under both allocators and report \
-          events/sec, sim-ns per wall-ms and words per update; writes \
-          BENCH_wallclock.json whose deterministic counters (events, \
-          updates, allocation counts, grace periods) gate in CI while \
-          wall timings stay informational")
-    Term.(const run_perf $ names $ out $ params_term)
-
-let prof_cmd =
-  let names = scenarios_arg perf_scenarios_doc in
-  let top =
-    let doc = "Show only the $(docv) heaviest spans per run (0 = all)." in
-    Arg.(value & opt int 0 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let by =
-    let doc = "Span ordering and folded-path weight: 'time' (self ns) or \
-               'alloc' (self minor words)." in
-    Arg.(value & opt string "time" & info [ "by" ] ~docv:"KEY" ~doc)
-  in
-  let folded =
-    let doc =
-      "Also write folded call paths ('engine.dispatch;slab.alloc N' lines, \
-       weighted per --by) to $(docv) for flamegraph.pl / speedscope."
-    in
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
-  in
-  let json =
-    let doc =
-      "Machine-readable output: one NDJSON object per span per run, one \
-       scenario_summary per run, one trailing summary line; the human \
-       tables are suppressed."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:
-         "Hot-path profile: rerun the perf scenarios with the span profiler \
-          installed across engine/buddy/slab/RCU/Prudence and report \
-          per-span wall time, call counts and GC allocation words \
-          (allocs-per-event, subsystem shares, folded stacks for \
-          flamegraphs); deterministic counters are unchanged by profiling")
-    Term.(const run_prof $ names $ top $ by $ folded $ json $ params_term)
+         "Behaviour gate: run pinned scenarios (endurance, fig3, chaos \
+          clean, check) under both allocators and write \
+          BENCH_wallclock.json, whose deterministic counters (events, \
+          updates, allocation counts, grace periods) gate exactly and \
+          whose words-per-event rows gate with 10% slack. Host time is \
+          measured by perfbench (python3 perfbench/run.py)")
+    Term.(const run_perf $ names $ out $ scale_arg $ seed_arg $ cpus_arg)
 
 let regress_cmd =
   let baseline =
@@ -1346,8 +1267,7 @@ let main_cmd =
     (Cmd.info "prudence-repro" ~version:Core.version ~doc)
     [
       list_cmd; run_cmd; trace_cmd; chaos_cmd; anatomy_cmd; tournament_cmd;
-      check_cmd; fuzz_cmd; postmortem_cmd; stat_cmd; perf_cmd; prof_cmd;
-      regress_cmd;
+      check_cmd; fuzz_cmd; postmortem_cmd; stat_cmd; perf_cmd; regress_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -193,7 +193,7 @@ let install ?(page_reuse = true) ?(early_reuse = true) ?coverage
     }
   in
   (* One handler for every watched edge, under the [check.probe] span so
-     oracle overhead shows up in the prof tables next to the paths it
+     oracle overhead lands in its own span next to the paths it
      rides on; on [Prof.null] each enter/exit is one load and branch. *)
   let prof = t.prof in
   Sim.Probe.subscribe

@@ -1,30 +1,14 @@
-/* Allocation-free probes for the profiler.
+/* Allocation-free clock probe for the profiler.
  *
- * The whole point of lib/prof's GC-delta accounting is that reading a
- * counter must not move the counter: the stock Gc.minor_words /
- * Gc.counters primitives box their results on the minor heap, so a
- * profiler built on them measures its own probes. These stubs are
- * [@@noalloc] + [@unboxed]: the values cross into OCaml in registers.
- *
- * Formulas mirror runtime/gc_ctrl.c (OCaml 5.1).
+ * A probe must not move the GC counter the profiler reads around it:
+ * a boxed float result would land on the minor heap inside every span
+ * window. This stub is [@@noalloc] + [@unboxed]: the value crosses into
+ * OCaml in a register. The boxed entry point serves bytecode only.
  */
 
 #include <time.h>
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
-#include <caml/domain_state.h>
-
-double prof_major_words_unboxed(value unit)
-{
-  (void)unit;
-  return (double)Caml_state->stat_major_words +
-         (double)Caml_state->allocated_words;
-}
-
-CAMLprim value prof_major_words(value unit)
-{
-  return caml_copy_double(prof_major_words_unboxed(unit));
-}
 
 double prof_monotonic_ns_unboxed(value unit)
 {

@@ -10,7 +10,6 @@ type t = {
   acc_self_ns : float array;
   acc_incl_ns : float array;
   acc_self_minor : float array;
-  acc_self_major : float array;
   (* Open-frame stack as parallel arrays: no allocation per enter. *)
   mutable depth : int;
   f_span : int array;
@@ -18,10 +17,8 @@ type t = {
   f_node : int array;  (* path-tree node *)
   f_t0 : float array;
   f_m0 : float array;  (* minor_words at enter *)
-  f_j0 : float array;  (* major_words at enter *)
   f_child_ns : float array;  (* sum of children's inclusive ns *)
   f_child_minor : float array;
-  f_child_major : float array;
   f_pairs : int array;  (* completed descendant enter/exit pairs *)
   mutable truncated : int;
   mutable dropped_exits : int;
@@ -40,7 +37,6 @@ type t = {
   mutable own_minor : float;
   mutable pair_ns : float;  (* full enter+exit pair cost seen by parent *)
   mutable pair_minor : float;
-  mutable created_at : float;
 }
 
 (* Allocation-free probes (see prof_stubs.c). The native externals
@@ -49,10 +45,6 @@ type t = {
    calibration below absorbs the probe footprint. *)
 external minor_words : unit -> (float [@unboxed])
   = "caml_gc_minor_words" "caml_gc_minor_words_unboxed"
-[@@noalloc]
-
-external major_words : unit -> (float [@unboxed])
-  = "prof_major_words" "prof_major_words_unboxed"
 [@@noalloc]
 
 external now_ns : unit -> (float [@unboxed])
@@ -70,17 +62,14 @@ let make ~enabled ~ncpus ~node_cap =
     acc_self_ns = Array.make (max cells 1) 0.;
     acc_incl_ns = Array.make (max cells 1) 0.;
     acc_self_minor = Array.make (max cells 1) 0.;
-    acc_self_major = Array.make (max cells 1) 0.;
     depth = 0;
     f_span = Array.make max_depth 0;
     f_row = Array.make max_depth 0;
     f_node = Array.make max_depth (-1);
     f_t0 = Array.make max_depth 0.;
     f_m0 = Array.make max_depth 0.;
-    f_j0 = Array.make max_depth 0.;
     f_child_ns = Array.make max_depth 0.;
     f_child_minor = Array.make max_depth 0.;
-    f_child_major = Array.make max_depth 0.;
     f_pairs = Array.make max_depth 0;
     truncated = 0;
     dropped_exits = 0;
@@ -96,7 +85,6 @@ let make ~enabled ~ncpus ~node_cap =
     own_minor = 0.;
     pair_ns = 0.;
     pair_minor = 0.;
-    created_at = 0.;
   }
 
 let null = make ~enabled:false ~ncpus:0 ~node_cap:0
@@ -168,10 +156,8 @@ let enter t ~cpu span =
       t.f_node.(d) <- node;
       t.f_child_ns.(d) <- 0.;
       t.f_child_minor.(d) <- 0.;
-      t.f_child_major.(d) <- 0.;
       t.f_pairs.(d) <- 0;
       t.f_t0.(d) <- now_ns ();
-      t.f_j0.(d) <- major_words ();
       t.f_m0.(d) <- minor_words ();
       t.depth <- d + 1
     end
@@ -186,7 +172,6 @@ let minus_child incl child = if incl > child then incl -. child else 0.
 (* Close the top frame unconditionally, attributing its window. *)
 let pop_top t =
   let m1 = minor_words () in
-  let j1 = major_words () in
   let t1 = now_ns () in
   let d = t.depth - 1 in
   let si = t.f_span.(d) in
@@ -195,18 +180,14 @@ let pop_top t =
   let pairs_below = t.f_pairs.(d) in
   let raw_ns = t1 -. t.f_t0.(d) in
   let raw_minor = m1 -. t.f_m0.(d) in
-  let raw_major = j1 -. t.f_j0.(d) in
   let incl_ns = comp raw_ns t.own_ns pairs_below t.pair_ns in
   let incl_minor = comp raw_minor t.own_minor pairs_below t.pair_minor in
-  let incl_major = if raw_major > 0. then raw_major else 0. in
   let self_ns = minus_child incl_ns t.f_child_ns.(d) in
   let self_minor = minus_child incl_minor t.f_child_minor.(d) in
-  let self_major = minus_child incl_major t.f_child_major.(d) in
   let idx = (row * nspans) + si in
   t.acc_self_ns.(idx) <- t.acc_self_ns.(idx) +. self_ns;
   t.acc_incl_ns.(idx) <- t.acc_incl_ns.(idx) +. incl_ns;
   t.acc_self_minor.(idx) <- t.acc_self_minor.(idx) +. self_minor;
-  t.acc_self_major.(idx) <- t.acc_self_major.(idx) +. self_major;
   if node >= 0 then begin
     t.node_self_ns.(node) <- t.node_self_ns.(node) +. self_ns;
     t.node_self_minor.(node) <- t.node_self_minor.(node) +. self_minor
@@ -216,7 +197,6 @@ let pop_top t =
     let p = d - 1 in
     t.f_child_ns.(p) <- t.f_child_ns.(p) +. incl_ns;
     t.f_child_minor.(p) <- t.f_child_minor.(p) +. incl_minor;
-    t.f_child_major.(p) <- t.f_child_major.(p) +. incl_major;
     t.f_pairs.(p) <- t.f_pairs.(p) + pairs_below + 1
   end
 
@@ -247,7 +227,6 @@ type cell = {
   self_ns : float;
   incl_ns : float;
   self_minor_words : float;
-  self_major_words : float;
 }
 
 let cell_at t row si =
@@ -259,7 +238,6 @@ let cell_at t row si =
     self_ns = t.acc_self_ns.(idx);
     incl_ns = t.acc_incl_ns.(idx);
     self_minor_words = t.acc_self_minor.(idx);
-    self_major_words = t.acc_self_major.(idx);
   }
 
 let cells t =
@@ -288,7 +266,6 @@ let totals t =
             self_ns = 0.;
             incl_ns = 0.;
             self_minor_words = 0.;
-            self_major_words = 0.;
           }
       in
       for row = 0 to t.rows - 1 do
@@ -300,36 +277,14 @@ let totals t =
             self_ns = !acc.self_ns +. c.self_ns;
             incl_ns = !acc.incl_ns +. c.incl_ns;
             self_minor_words = !acc.self_minor_words +. c.self_minor_words;
-            self_major_words = !acc.self_major_words +. c.self_major_words;
           }
       done;
       if !acc.calls > 0 then out := !acc :: !out
     done;
     !out
 
-let subsystem_totals t =
-  List.map
-    (fun sub ->
-      let ns = ref 0. and words = ref 0. in
-      List.iter
-        (fun c ->
-          if String.equal (Span.subsystem c.span) sub then begin
-            ns := !ns +. c.self_ns;
-            words := !words +. c.self_minor_words
-          end)
-        (totals t);
-      (sub, !ns, !words))
-    Span.subsystems
-
 let total_self_ns t = List.fold_left (fun a c -> a +. c.self_ns) 0. (totals t)
 
-let total_minor_words t =
-  List.fold_left (fun a c -> a +. c.self_minor_words) 0. (totals t)
-
-let total_major_words t =
-  List.fold_left (fun a c -> a +. c.self_major_words) 0. (totals t)
-
-let elapsed_ns t = if t.enabled then now_ns () -. t.created_at else 0.
 let truncated t = t.truncated
 let dropped_exits t = t.dropped_exits
 
@@ -362,13 +317,11 @@ let reset t =
     Array.fill t.acc_self_ns 0 (Array.length t.acc_self_ns) 0.;
     Array.fill t.acc_incl_ns 0 (Array.length t.acc_incl_ns) 0.;
     Array.fill t.acc_self_minor 0 (Array.length t.acc_self_minor) 0.;
-    Array.fill t.acc_self_major 0 (Array.length t.acc_self_major) 0.;
     t.depth <- 0;
     t.truncated <- 0;
     t.dropped_exits <- 0;
     Array.fill t.node_child 0 (t.nnodes * nspans) (-1);
-    t.nnodes <- 0;
-    t.created_at <- now_ns ()
+    t.nnodes <- 0
   end
 
 (* -- calibration -- *)
@@ -408,5 +361,4 @@ let create ?(ncpus = 8) () =
   if ncpus < 0 then invalid_arg "Prof.create: ncpus < 0";
   let t = make ~enabled:true ~ncpus ~node_cap:64 in
   calibrate t;
-  t.created_at <- now_ns ();
   t

@@ -6,7 +6,7 @@
     and zero allocation when profiling is off.
 
     A live profiler keeps per-(CPU row, span) unboxed accumulators —
-    call counts, self/inclusive wall time, self minor/major GC words —
+    call counts, self/inclusive wall time, self minor GC words —
     plus an interned call-path tree for folded-stack (flamegraph)
     output. Row 0 aggregates un-pinned (global) work; row [c+1] is
     CPU [c].
@@ -20,7 +20,7 @@
     [Gc.counters] primitives box their results on the minor heap, so a
     profiler built on them measures its own probes. The probes here are
     [@@noalloc] externals returning unboxed floats (the runtime's
-    [caml_gc_minor_words_unboxed] plus two stubs in prof_stubs.c), so
+    [caml_gc_minor_words_unboxed] plus a clock stub in prof_stubs.c), so
     reading a counter does not move it. [create] additionally
     calibrates any residual per-pair footprint (e.g. bytecode's boxed
     fallbacks, codegen boxing) and every exit subtracts it, so a span
@@ -67,7 +67,6 @@ type cell = {
   self_ns : float;
   incl_ns : float;
   self_minor_words : float;
-  self_major_words : float;
 }
 
 val cells : t -> cell list
@@ -77,16 +76,7 @@ val totals : t -> cell list
 (** Per-span cells summed over all rows ([cpu = -1]), span order; only
     spans with calls > 0. *)
 
-val subsystem_totals : t -> (string * float * float) list
-(** [(subsystem, self_ns, self_minor_words)] summed over its spans, in
-    {!Span.subsystems} order, including zero rows. *)
-
 val total_self_ns : t -> float
-val total_minor_words : t -> float
-val total_major_words : t -> float
-
-val elapsed_ns : t -> float
-(** Wall ns since [create] (0 on {!null}). *)
 
 val truncated : t -> int
 (** Frames dropped to stack-depth overflow (calls still counted). *)

@@ -112,10 +112,4 @@ val register_env : Registry.t -> ?prefix:string -> Workloads.Env.t -> unit
     level, RCU grace-period/backlog state, and slab/Prudence aggregates
     (summed over the backend's caches at read time, so caches created
     after registration are included). [prefix] is prepended to every
-    metric name (default none).
-
-    When the environment carries a live profiler ([cfg.prof] is not
-    {!Prof.null}), also registers [prof.*] derived metrics:
-    allocs-per-event, ns-per-event, per-subsystem time/alloc shares,
-    and per-span call counters. With profiling off, no [prof.*] names
-    appear, keeping registry output byte-identical. *)
+    metric name (default none). *)

@@ -1,8 +1,7 @@
-(* The perf harness's gating fields must be pure functions of the
-   pinned configuration: two in-process runs of the same scenario have
-   to produce identical deterministic counters (the [Exact] metrics
-   committed as bench/BENCH_wallclock.json and gated in CI). Wall-clock
-   readings are machine noise and deliberately not compared. *)
+(* The perf gate's fields must be pure functions of the pinned
+   configuration: two in-process runs of the same scenario have to
+   produce identical deterministic counters (the [Exact] metrics
+   committed as bench/BENCH_wallclock.json and gated in CI). *)
 
 let counters (m : Wallclock.measurement) = m.Wallclock.c
 
@@ -26,51 +25,44 @@ let test_deterministic_fields () =
     ms1 ms2
 
 let test_exact_metrics_are_gated () =
-  (* Every deterministic counter must be exported with the Exact
-     direction and zero tolerance, so the CI regress gate refuses any
-     drift; allocs-per-event gates direction-aware (Lower_better with
-     slack); wall readings must stay Info (never gate). *)
+  (* Each measurement exports exactly its 7 deterministic counters with
+     the Exact direction and zero tolerance, so the CI regress gate
+     refuses any drift, plus one allocs-per-event row that gates
+     direction-aware (Lower_better with slack) — and nothing else. *)
   let p =
     { Wallclock.default_params with Wallclock.scale = 0.01; cpus = 2 }
   in
   let ms = Wallclock.run_all ~scenarios:[ Wallclock.Endurance ] p in
-  let metrics = Wallclock.metrics ms in
-  let exact, rest =
-    List.partition
-      (fun m -> m.Metrics.Report.direction = Metrics.Report.Exact)
-      metrics
-  in
-  let lower, info =
-    List.partition
-      (fun m -> m.Metrics.Report.direction = Metrics.Report.Lower_better)
-      rest
-  in
-  Alcotest.(check int) "7 exact counters per measurement" 14
-    (List.length exact);
   List.iter
-    (fun m ->
-      Alcotest.(check (option (float 0.)))
-        ("zero tolerance: " ^ m.Metrics.Report.name)
-        (Some 0.) m.Metrics.Report.tolerance_pct)
-    exact;
-  Alcotest.(check int) "one Lower_better gate per measurement" 2
-    (List.length lower);
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        ("allocs_per_event gates with slack: " ^ m.Metrics.Report.name)
-        true
-        (String.ends_with ~suffix:".allocs_per_event" m.Metrics.Report.name
-        && m.Metrics.Report.tolerance_pct
-           = Some Wallclock.allocs_per_event_tolerance_pct))
-    lower;
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        ("wall reading is Info: " ^ m.Metrics.Report.name)
-        true
-        (m.Metrics.Report.direction = Metrics.Report.Info))
-    info
+    (fun (m : Wallclock.measurement) ->
+      let rows = Wallclock.metrics [ m ] in
+      let exact, rest =
+        List.partition
+          (fun r -> r.Metrics.Report.direction = Metrics.Report.Exact)
+          rows
+      in
+      Alcotest.(check int)
+        ("7 exact counters: " ^ m.Wallclock.alloc_label)
+        7 (List.length exact);
+      List.iter
+        (fun r ->
+          Alcotest.(check (option (float 0.)))
+            ("zero tolerance: " ^ r.Metrics.Report.name)
+            (Some 0.) r.Metrics.Report.tolerance_pct)
+        exact;
+      match rest with
+      | [ r ] ->
+          Alcotest.(check bool)
+            ("allocs_per_event gates Lower_better with slack: "
+           ^ r.Metrics.Report.name)
+            true
+            (String.ends_with ~suffix:".allocs_per_event" r.Metrics.Report.name
+            && r.Metrics.Report.direction = Metrics.Report.Lower_better
+            && r.Metrics.Report.tolerance_pct = Some 10.)
+      | _ ->
+          Alcotest.failf "%s: expected one non-Exact row, got %d"
+            m.Wallclock.alloc_label (List.length rest))
+    ms
 
 let test_alloc_drift_gates () =
   (* An injected allocation regression past tolerance must classify as
@@ -103,7 +95,7 @@ let suite =
   [
     Alcotest.test_case "perf counters are replay-stable" `Quick
       test_deterministic_fields;
-    Alcotest.test_case "perf exports gate exact, wall as info" `Quick
+    Alcotest.test_case "perf exports 7 exact rows and one allocs gate" `Quick
       test_exact_metrics_are_gated;
     Alcotest.test_case "allocs-per-event drift gates direction-aware" `Quick
       test_alloc_drift_gates;

@@ -286,22 +286,6 @@ let run_stat alloc duration_ms sample_every capacity watch series format
     kinds;
   0
 
-let parse_perf_scenarios names =
-  let module Wc = Wallclock in
-  let names = if names = [] then [ "all" ] else names in
-  if names = [ "all" ] then Wc.all_scenarios
-  else
-    List.map
-      (fun name ->
-        match Wc.scenario_of_string name with
-        | Some s -> s
-        | None ->
-            Format.eprintf "unknown perf scenario %S; scenarios: %s, all@."
-              name
-              (String.concat ", " (List.map Wc.scenario_name Wc.all_scenarios));
-            exit 2)
-      names
-
 let run_regress baseline_file current_file tolerance json =
   let module B = Core.Stats.Bench_json in
   if tolerance < 0. then begin
@@ -348,20 +332,6 @@ let run_regress baseline_file current_file tolerance json =
           (List.length failed);
         1
       end
-
-let run_perf names out scale seed cpus =
-  let module Wc = Wallclock in
-  require_positive "--cpus" cpus;
-  let scenarios = parse_perf_scenarios names in
-  let wp = { Wc.scale; seed; cpus } in
-  let ms = Wc.run_all ~scenarios wp in
-  Format.printf "%s@." (Wc.table ms);
-  Core.Stats.Bench_json.write_file out (Wc.to_bench wp ms);
-  Format.printf
-    "wrote %s (gate it with `regress --baseline bench/BENCH_wallclock.json`; \
-     host time is perfbench's: python3 perfbench/run.py)@."
-    out;
-  0
 
 let parse_mutation mutate =
   let module Sweep = Core.Check.Sweep in
@@ -820,15 +790,12 @@ let alloc_arg ~default doc =
   in
   Arg.(value & opt string default & info [ "alloc" ] ~docv:"KIND" ~doc)
 
-let scenarios_arg doc =
+let scenarios_arg =
+  let doc =
+    "Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
+     alloc-fault) or 'all' (default)."
+  in
   Arg.(value & pos_all string [] & info [] ~docv:"SCENARIO" ~doc)
-
-let chaos_scenarios_doc =
-  "Scenarios (clean, stalled-reader, cb-flood, pressure-spike, alloc-fault) \
-   or 'all' (default)."
-
-let perf_scenarios_doc =
-  "Scenarios (endurance, fig3, chaos-clean, check) or 'all' (default)."
 
 (* The ten options check and fuzz share, with one set of defaults. *)
 let sweep_base_term =
@@ -893,7 +860,7 @@ let sweep_base_term =
     Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
   in
   Term.(
-    const sweep_base $ scenarios_arg chaos_scenarios_doc $ alloc
+    const sweep_base $ scenarios_arg $ alloc
     $ shuffle_seed $ mutate $ duration_ms $ pages $ disable_oracle $ plan
     $ seed_arg $ cpus)
 
@@ -942,7 +909,6 @@ let trace_cmd =
     Term.(const trace_experiment $ id $ out $ hists $ ring $ params_term)
 
 let chaos_cmd =
-  let names = scenarios_arg chaos_scenarios_doc in
   let alloc =
     alloc_arg ~default:"both" "Reclamation scheme(s) ('both' = slub+prudence)."
   in
@@ -966,7 +932,7 @@ let chaos_cmd =
          "Run fault-injection scenarios over the selected reclamation \
           schemes and print a survival/degradation report (RCU stall \
           warnings, grace-period p99, backoff retries, emergency flushes)")
-    Term.(const run_chaos $ names $ alloc $ ring $ bundle_dir $ params_term)
+    Term.(const run_chaos $ scenarios_arg $ alloc $ ring $ bundle_dir $ params_term)
 
 let anatomy_cmd =
   let scenario =
@@ -1022,7 +988,6 @@ let postmortem_cmd =
     Term.(const run_postmortem $ file)
 
 let tournament_cmd =
-  let names = scenarios_arg chaos_scenarios_doc in
   let alloc =
     alloc_arg ~default:"all" "Schemes to race."
   in
@@ -1045,7 +1010,7 @@ let tournament_cmd =
           Hyaline) and print one comparison table -- throughput, end-of-run \
           limbo occupancy, defer-to-reuse latency percentiles, grace-period \
           p99, OOM resilience; non-zero exit on any safety violation")
-    Term.(const run_tournament $ names $ alloc $ ring $ out $ params_term)
+    Term.(const run_tournament $ scenarios_arg $ alloc $ ring $ out $ params_term)
 
 let check_cmd =
   let sweeps =
@@ -1202,26 +1167,6 @@ let stat_cmd =
       $ series $ format $ registry_table $ pages $ scale_arg $ seed_arg
       $ cpus_arg)
 
-let perf_cmd =
-  let names = scenarios_arg perf_scenarios_doc in
-  let out =
-    let doc = "Output file for the behaviour-gate JSON." in
-    Arg.(
-      value
-      & opt string "BENCH_wallclock.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Behaviour gate: run pinned scenarios (endurance, fig3, chaos \
-          clean, check) under both allocators and write \
-          BENCH_wallclock.json, whose deterministic counters (events, \
-          updates, allocation counts, grace periods) gate exactly and \
-          whose words-per-event rows gate with 10% slack. Host time is \
-          measured by perfbench (python3 perfbench/run.py)")
-    Term.(const run_perf $ names $ out $ scale_arg $ seed_arg $ cpus_arg)
-
 let regress_cmd =
   let baseline =
     (* A plain string, not Arg.file: a missing baseline must reach the
@@ -1267,7 +1212,7 @@ let main_cmd =
     (Cmd.info "prudence-repro" ~version:Core.version ~doc)
     [
       list_cmd; run_cmd; trace_cmd; chaos_cmd; anatomy_cmd; tournament_cmd;
-      check_cmd; fuzz_cmd; postmortem_cmd; stat_cmd; perf_cmd; regress_cmd;
+      check_cmd; fuzz_cmd; postmortem_cmd; stat_cmd; regress_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -20,6 +20,7 @@ module Check = Check
 module Metrics = Metrics
 module Stats = Stats
 module Experiments = Experiments
+module Gate = Gate
 module Chaos = Chaos
 module Tournament = Tournament
 module Anatomy = Anatomy

@@ -27,7 +27,8 @@ type experiment = {
 }
 
 val all : experiment list
-(** In paper order: fig3, costs, fig6, fig7..fig13, ablations. *)
+(** In paper order: fig3, costs, fig6, fig7..fig13, tree, ablations; then
+    [gate], the behaviour gate ({!Gate}). *)
 
 val find : string -> experiment option
 

@@ -15,6 +15,18 @@ let default_config =
     list_len = 64;
   }
 
+(* Callback invocation is throttled per softirq pass as in §3.5's kernel:
+   expediting under memory pressure raises the batch but still cannot match
+   the offered deferred-free rate, so the baseline leaks towards OOM. *)
+let throttled_rcu =
+  {
+    Rcu.default_config with
+    Rcu.blimit = 10;
+    expedited_blimit = 30;
+    softirq_period_ns = 1_000_000;
+    qhimark = max_int;
+  }
+
 type result = {
   label : string;
   series : (int * float) array;

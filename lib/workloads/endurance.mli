@@ -17,6 +17,13 @@ type config = {
 
 val default_config : config
 
+val throttled_rcu : Rcu.config
+(** The RCU config the endurance runs use (Fig. 3, its [blimit]
+    ablation, the [stat] view and the behaviour gate): callbacks invoked
+    10 per 1 ms softirq pass (30 when expedited), no backlog-triggered
+    expediting. The regime where deferred frees pile up on the
+    baseline. *)
+
 type result = {
   label : string;
   series : (int * float) array;  (** (time ns, used MiB) samples. *)

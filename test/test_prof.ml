@@ -144,8 +144,10 @@ let test_span_enum () =
 (* and profiling on must not perturb the deterministic counters.       *)
 (* ------------------------------------------------------------------ *)
 
-let small_params =
-  { Wallclock.default_params with Wallclock.scale = 0.01; cpus = 2 }
+let small_cpus = 2
+
+let run_small ~prof scenario kind =
+  Core.Gate.run_once ~prof ~scale:0.01 ~seed:42 ~cpus:small_cpus scenario kind
 
 let registry_table env =
   let r = Stats.Registry.create () in
@@ -155,10 +157,9 @@ let registry_table env =
 let test_replay_identical () =
   let run prof =
     let env, updates =
-      Wallclock.run_once ~prof small_params Wallclock.Endurance
-        Workloads.Env.Prudence_alloc
+      run_small ~prof Core.Gate.Endurance Workloads.Env.Prudence_alloc
     in
-    (Wallclock.counters_of env updates, registry_table env)
+    (Core.Gate.counters_of env updates, registry_table env)
   in
   let c_off1, table_off1 = run P.null in
   let c_off2, table_off2 = run P.null in
@@ -166,7 +167,7 @@ let test_replay_identical () =
     (c_off1 = c_off2);
   Alcotest.(check string) "prof-off registry byte-identical" table_off1
     table_off2;
-  let c_on, _table_on = run (P.create ~ncpus:2 ()) in
+  let c_on, _table_on = run (P.create ~ncpus:small_cpus ()) in
   Alcotest.(check bool) "prof-on counters equal prof-off" true
     (c_off1 = c_on)
 
@@ -177,13 +178,11 @@ let test_check_scenario_spans () =
   List.iter
     (fun kind ->
       let run prof =
-        let env, updates =
-          Wallclock.run_once ~prof small_params Wallclock.Check kind
-        in
-        Wallclock.counters_of env updates
+        let env, updates = run_small ~prof Core.Gate.Check kind in
+        Core.Gate.counters_of env updates
       in
       let unprofiled = run P.null in
-      let prof = P.create ~ncpus:small_params.Wallclock.cpus () in
+      let prof = P.create ~ncpus:small_cpus () in
       let profiled = run prof in
       let label = Workloads.Env.kind_label kind in
       List.iter
